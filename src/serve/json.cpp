@@ -9,6 +9,11 @@ namespace bsr::serve {
 
 namespace {
 
+// Arrays and objects nest at most this deep. The reader recurses once per
+// level, so without a cap one line of `[` would overflow a worker's stack;
+// the deepest request the contract defines (a batched lint) nests 4 deep.
+constexpr int kMaxDepth = 64;
+
 [[noreturn]] void bad(const std::string& what, std::size_t pos) {
   throw UsageError("malformed request JSON: " + what + " at byte " +
                    std::to_string(pos));
@@ -106,8 +111,16 @@ class JsonParser {
 
   Json value() {
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        bad("nesting deeper than " + std::to_string(kMaxDepth) + " levels",
+            pos_);
+      }
+      ++depth_;
+      Json v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Json v;
       v.kind_ = Json::Kind::String;
@@ -238,6 +251,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 Json Json::parse(const std::string& text) { return JsonParser(text).parse(); }

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -76,6 +77,37 @@ sockaddr_un make_addr(const std::string& path) {
   return addr;
 }
 
+/// Clears `path` for bind(). A missing path needs nothing. A socket that
+/// refuses connections is a stale leftover of a crashed daemon and is
+/// unlinked. Anything else is refused and left in place: a file that is
+/// not a socket, or a socket a live daemon still answers on.
+void claim_socket_path(const std::string& path, const sockaddr_un& addr) {
+  struct stat st{};
+  if (::lstat(path.c_str(), &st) != 0) {
+    const int err = errno;
+    usage_check(err == ENOENT,
+                [&] { return "lstat(" + path + "): " + strerror(err); });
+    return;
+  }
+  usage_check(S_ISSOCK(st.st_mode), [&] {
+    return "refusing to use " + path + ": it exists and is not a socket";
+  });
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  usage_check(probe >= 0, "socket(): " + std::string(strerror(errno)));
+  const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr));
+  const int err = errno;
+  ::close(probe);
+  usage_check(rc != 0, [&] {
+    return "refusing to use " + path + ": a daemon is already listening on it";
+  });
+  usage_check(err == ECONNREFUSED, [&] {
+    return "refusing to use " + path + ": probe connect failed: " +
+           strerror(err);
+  });
+  ::unlink(path.c_str());
+}
+
 }  // namespace
 
 int run_server(const ServerOptions& opts, std::ostream& log) {
@@ -83,11 +115,9 @@ int run_server(const ServerOptions& opts, std::ostream& log) {
   usage_check(opts.queue >= 1, "--queue must be >= 1");
 
   const sockaddr_un addr = make_addr(opts.socket_path);
+  claim_socket_path(opts.socket_path, addr);
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   usage_check(listener >= 0, "socket(): " + std::string(strerror(errno)));
-  // A stale socket file from a crashed daemon would make bind fail; only
-  // unlink what is actually a socket path nobody is listening on.
-  ::unlink(opts.socket_path.c_str());
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     const std::string why = strerror(errno);

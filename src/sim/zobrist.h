@@ -23,7 +23,8 @@
 // Because XOR is its own inverse, the Sim maintains the hash in O(1) per
 // step through the same undo log that powers incremental backtracking:
 // every mutation toggles the affected components in, every rewind toggles
-// them back out.
+// them back out. A toggle is O(1) even for a nested full-information view,
+// because a composite Value caches its structural hash at construction.
 //
 // Symmetry reduction: for protocols that are symmetric in the process ids,
 // the Sim can maintain one running hash per pid permutation and report the

@@ -8,6 +8,40 @@
 
 namespace bsr {
 
+namespace {
+
+// FNV-style structural combine.
+constexpr std::size_t kHashSeed = 0xcbf29ce484222325ULL;
+
+constexpr std::size_t mix(std::size_t h, std::size_t x) noexcept {
+  return (h ^ x) * 0x100000001b3ULL;
+}
+
+constexpr std::size_t kind_hash(Value::Kind k) noexcept {
+  return mix(kHashSeed, static_cast<std::size_t>(k));
+}
+
+}  // namespace
+
+struct Value::Payload {
+  std::size_t hash;
+  std::string bytes;
+  std::vector<Value> vec;
+};
+
+Value::Value(std::string bytes) : kind_(Kind::Bytes) {
+  const std::size_t h =
+      mix(kind_hash(Kind::Bytes), std::hash<std::string>{}(bytes));
+  payload_ = std::make_shared<const Payload>(
+      Payload{h, std::move(bytes), {}});
+}
+
+Value::Value(std::vector<Value> vec) : kind_(Kind::Vec) {
+  std::size_t h = kind_hash(Kind::Vec);
+  for (const Value& v : vec) h = mix(h, v.hash());
+  payload_ = std::make_shared<const Payload>(Payload{h, {}, std::move(vec)});
+}
+
 Value Value::vec_of(std::size_t n, const Value& fill) {
   return Value(std::vector<Value>(n, fill));
 }
@@ -21,29 +55,17 @@ std::uint64_t Value::as_u64() const {
 const std::string& Value::as_bytes() const {
   usage_check(kind_ == Kind::Bytes,
               [&] { return "Value::as_bytes on non-bytes value " + str(); });
-  return bytes_;
+  return payload_->bytes;
 }
 
 const std::vector<Value>& Value::as_vec() const {
   usage_check(kind_ == Kind::Vec,
               [&] { return "Value::as_vec on non-vector value " + str(); });
-  return vec_;
-}
-
-std::vector<Value>& Value::as_vec() {
-  usage_check(kind_ == Kind::Vec,
-              [&] { return "Value::as_vec on non-vector value " + str(); });
-  return vec_;
+  return payload_->vec;
 }
 
 const Value& Value::at(std::size_t i) const {
   const auto& v = as_vec();
-  usage_check(i < v.size(), "Value::at index out of range");
-  return v[i];
-}
-
-Value& Value::at(std::size_t i) {
-  auto& v = as_vec();
   usage_check(i < v.size(), "Value::at index out of range");
   return v[i];
 }
@@ -67,8 +89,15 @@ bool operator==(const Value& a, const Value& b) noexcept {
   switch (a.kind_) {
     case Value::Kind::Bottom: return true;
     case Value::Kind::U64: return a.u64_ == b.u64_;
-    case Value::Kind::Bytes: return a.bytes_ == b.bytes_;
-    case Value::Kind::Vec: return a.vec_ == b.vec_;
+    case Value::Kind::Bytes:
+    case Value::Kind::Vec: {
+      const Value::Payload& pa = *a.payload_;
+      const Value::Payload& pb = *b.payload_;
+      if (&pa == &pb) return true;
+      if (pa.hash != pb.hash) return false;
+      return a.kind_ == Value::Kind::Bytes ? pa.bytes == pb.bytes
+                                           : pa.vec == pb.vec;
+    }
   }
   return false;
 }
@@ -78,34 +107,30 @@ std::strong_ordering operator<=>(const Value& a, const Value& b) noexcept {
   switch (a.kind_) {
     case Value::Kind::Bottom: return std::strong_ordering::equal;
     case Value::Kind::U64: return a.u64_ <=> b.u64_;
-    case Value::Kind::Bytes: return a.bytes_ <=> b.bytes_;
+    case Value::Kind::Bytes: return a.payload_->bytes <=> b.payload_->bytes;
     case Value::Kind::Vec: {
-      const std::size_t m = std::min(a.vec_.size(), b.vec_.size());
+      if (a.payload_ == b.payload_) return std::strong_ordering::equal;
+      const auto& av = a.payload_->vec;
+      const auto& bv = b.payload_->vec;
+      const std::size_t m = std::min(av.size(), bv.size());
       for (std::size_t i = 0; i < m; ++i) {
-        if (auto c = a.vec_[i] <=> b.vec_[i]; c != 0) return c;
+        if (auto c = av[i] <=> bv[i]; c != 0) return c;
       }
-      return a.vec_.size() <=> b.vec_.size();
+      return av.size() <=> bv.size();
     }
   }
   return std::strong_ordering::equal;
 }
 
 std::size_t Value::hash() const noexcept {
-  // FNV-style structural combine.
-  auto mix = [](std::size_t h, std::size_t x) {
-    return (h ^ x) * 0x100000001b3ULL;
-  };
-  std::size_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, static_cast<std::size_t>(kind_));
   switch (kind_) {
-    case Kind::Bottom: break;
-    case Kind::U64: h = mix(h, static_cast<std::size_t>(u64_)); break;
-    case Kind::Bytes: h = mix(h, std::hash<std::string>{}(bytes_)); break;
-    case Kind::Vec:
-      for (const Value& v : vec_) h = mix(h, v.hash());
-      break;
+    case Kind::Bottom: return kind_hash(Kind::Bottom);
+    case Kind::U64:
+      return mix(kind_hash(Kind::U64), static_cast<std::size_t>(u64_));
+    case Kind::Bytes:
+    case Kind::Vec: return payload_->hash;
   }
-  return h;
+  return 0;
 }
 
 std::string Value::str() const {

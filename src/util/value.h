@@ -6,12 +6,22 @@
 // vector of values. Values are totally ordered (lexicographic over a kind
 // tag), hashable, and printable, so they can be used as set/map keys when
 // enumerating protocol configurations.
+//
+// A Value is an immutable handle. ⊥ and integers live inline; a byte string
+// or vector lives in one shared payload that also caches the structural
+// hash, computed once when the value is built. Copying a Value is therefore
+// O(1) (a reference-count bump, nothing at all for ⊥ and integers), `hash()`
+// is O(1), and `==` settles at once when two values share a payload or their
+// cached hashes differ. Nothing writes a payload after construction, so
+// threads may copy and read the same Value without locks; a changed view is
+// a new Value.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,11 +41,32 @@ class Value {
   Value(int v) : Value(static_cast<std::uint64_t>(v)) {
     usage_nonnegative(v);
   }
-  Value(std::string bytes) : kind_(Kind::Bytes), bytes_(std::move(bytes)) {}
+  Value(std::string bytes);
   Value(const char* bytes) : Value(std::string(bytes)) {}
-  Value(std::vector<Value> vec) : kind_(Kind::Vec), vec_(std::move(vec)) {}
+  Value(std::vector<Value> vec);
   Value(std::initializer_list<Value> vec)
-      : kind_(Kind::Vec), vec_(vec.begin(), vec.end()) {}
+      : Value(std::vector<Value>(vec.begin(), vec.end())) {}
+
+  Value(const Value&) = default;
+  Value& operator=(const Value&) = default;
+  /// A moved-from Value is ⊥.
+  Value(Value&& other) noexcept
+      : kind_(other.kind_),
+        u64_(other.u64_),
+        payload_(std::move(other.payload_)) {
+    other.kind_ = Kind::Bottom;
+    other.u64_ = 0;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      kind_ = other.kind_;
+      u64_ = other.u64_;
+      payload_ = std::move(other.payload_);
+      other.kind_ = Kind::Bottom;
+      other.u64_ = 0;
+    }
+    return *this;
+  }
 
   /// Named constructor for ⊥, for readability at call sites.
   [[nodiscard]] static Value bottom() noexcept { return Value(); }
@@ -52,13 +83,12 @@ class Value {
   [[nodiscard]] std::uint64_t as_u64() const;
   /// Byte-string payload; throws UsageError if not Bytes.
   [[nodiscard]] const std::string& as_bytes() const;
-  /// Vector payload; throws UsageError if not a Vec.
+  /// Vector payload; throws UsageError if not a Vec. Copies of a Value
+  /// return the same vector.
   [[nodiscard]] const std::vector<Value>& as_vec() const;
-  [[nodiscard]] std::vector<Value>& as_vec();
 
   /// Vector element access; throws UsageError if not a Vec or out of range.
   [[nodiscard]] const Value& at(std::size_t i) const;
-  [[nodiscard]] Value& at(std::size_t i);
 
   /// Number of bits needed to store this value in a bounded register
   /// (0 for the u64 value 0). Throws UsageError for non-U64 values, which
@@ -68,19 +98,21 @@ class Value {
   friend bool operator==(const Value& a, const Value& b) noexcept;
   friend std::strong_ordering operator<=>(const Value& a, const Value& b) noexcept;
 
-  /// Stable structural hash (suitable for unordered containers).
+  /// Stable structural hash (suitable for unordered containers). O(1):
+  /// composite values cache it in their payload.
   [[nodiscard]] std::size_t hash() const noexcept;
 
   /// Human-readable rendering, e.g. `[⊥, 3, "ab", [0, 1]]`.
   [[nodiscard]] std::string str() const;
 
  private:
+  struct Payload;  // bytes or vector plus its cached hash (value.cpp)
+
   static void usage_nonnegative(int v);
 
   Kind kind_;
-  std::uint64_t u64_ = 0;
-  std::string bytes_;
-  std::vector<Value> vec_;
+  std::uint64_t u64_ = 0;                  // U64 only
+  std::shared_ptr<const Payload> payload_;  // Bytes and Vec only
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);

@@ -1,21 +1,27 @@
 // The `bsr serve` AF_UNIX daemon end to end: boot a real server on a
 // scratch socket, drive it with the client leg, and exercise the paths the
 // loopback tests cannot — cached repeats over the wire, bounded-queue
-// overload with a structured refusal, and graceful shutdown that drains
-// every accepted connection before exiting.
+// overload with a structured refusal, graceful shutdown that drains
+// every accepted connection before exiting, and the socket-path claim that
+// replaces only a stale socket.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 
 #include <chrono>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "serve/json.h"
 #include "serve/server.h"
+#include "util/errors.h"
 
 namespace {
 
@@ -76,6 +82,19 @@ class Daemon {
 
 serve::Json parse_line(const std::string& line) {
   return serve::Json::parse(line);
+}
+
+/// Runs a daemon that is expected to refuse its socket path at startup, and
+/// returns the refusal's message ("" if it started and exited instead).
+std::string startup_refusal(const serve::ServerOptions& opts) {
+  std::ostringstream log;
+  try {
+    (void)serve::run_server(opts, log);
+  } catch (const UsageError& e) {
+    EXPECT_EQ(log.str(), "") << "refused after announcing the socket";
+    return e.what();
+  }
+  return "";
 }
 
 TEST(ServeSocket, RoundtripThenCachedRepeat) {
@@ -152,6 +171,76 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
 
   busy.join();
   queued.join();
+}
+
+TEST(ServeSocket, DeepNestingIsRefusedAndTheDaemonSurvives) {
+  serve::ServerOptions opts;
+  opts.socket_path = scratch_socket("deep");
+  Daemon daemon(opts);
+
+  const serve::Json r = parse_line(
+      serve::client_roundtrip(daemon.socket(), std::string(1'000'000, '[')));
+  EXPECT_EQ(r.str_or("error", ""), "usage");
+  const std::string stats =
+      serve::client_roundtrip(daemon.socket(), R"({"mode":"stats"})");
+  EXPECT_TRUE(parse_line(stats).bool_or("ok", false)) << stats;
+}
+
+TEST(ServeSocket, RegularFileAtTheSocketPathIsRefusedAndKept) {
+  serve::ServerOptions opts;
+  opts.socket_path = scratch_socket("victim");
+  std::ofstream(opts.socket_path) << "precious\n";
+
+  EXPECT_NE(startup_refusal(opts).find("is not a socket"), std::string::npos);
+  std::ifstream in(opts.socket_path);
+  std::string content;
+  std::getline(in, content);
+  EXPECT_EQ(content, "precious");
+  ::unlink(opts.socket_path.c_str());
+}
+
+TEST(ServeSocket, SecondDaemonOnALivePathIsRefused) {
+  serve::ServerOptions opts;
+  opts.socket_path = scratch_socket("live");
+  Daemon first(opts);
+
+  EXPECT_NE(startup_refusal(opts).find("already listening"),
+            std::string::npos);
+  // The first daemon keeps its path and still answers.
+  const std::string resp =
+      serve::client_roundtrip(first.socket(), R"({"mode":"stats"})");
+  EXPECT_TRUE(parse_line(resp).bool_or("ok", false)) << resp;
+}
+
+TEST(ServeSocket, StaleSocketIsReplaced) {
+  // A socket bound and closed without a listener is what a crashed daemon
+  // leaves behind: connecting to it is refused, so the path is reclaimed.
+  serve::ServerOptions opts;
+  opts.socket_path = scratch_socket("stale");
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ::close(fd);
+  }
+  ASSERT_TRUE(socket_exists(opts.socket_path));
+
+  Daemon daemon(opts);
+  // The stale file already exists, so wait for the daemon itself to answer.
+  std::string resp;
+  for (int i = 0; i < 200 && resp.empty(); ++i) {
+    try {
+      resp = serve::client_roundtrip(daemon.socket(), R"({"mode":"stats"})");
+    } catch (const UsageError&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(parse_line(resp).bool_or("ok", false)) << resp;
 }
 
 TEST(ServeSocket, ShutdownDrainsAndUnlinksTheSocket) {

@@ -23,6 +23,7 @@
 #include "serve/modes.h"
 #include "serve/service.h"
 #include "sim/sim.h"
+#include "util/errors.h"
 
 namespace {
 
@@ -320,6 +321,27 @@ TEST(Service, ErrorEnvelopes) {
       R"({"batch":[{"mode":"fly"},{"mode":"stats"}]})");
   EXPECT_NE(mixed.find("\"error\":\"usage\""), std::string::npos);
   EXPECT_NE(mixed.find("\"mode\":\"stats\""), std::string::npos);
+}
+
+TEST(Service, DeepNestingGetsOneUsageEnvelope) {
+  // The reader recurses once per level: a million `[` must be refused at
+  // the nesting cap instead of overflowing the worker's stack.
+  serve::Service service;
+  const std::string resp = service.handle_line(std::string(1'000'000, '['));
+  ASSERT_FALSE(resp.empty());
+  EXPECT_EQ(resp.find('\n'), resp.size() - 1);  // exactly one envelope
+  const serve::Json r = serve::Json::parse(resp.substr(0, resp.size() - 1));
+  EXPECT_FALSE(r.bool_or("ok", true)) << resp;
+  EXPECT_EQ(r.str_or("error", ""), "usage");
+  EXPECT_NE(r.str_or("message", "").find("nesting deeper than 64 levels"),
+            std::string::npos)
+      << resp;
+
+  // The cap is exact: 64 levels parse, 65 do not.
+  EXPECT_NO_THROW(serve::Json::parse(std::string(64, '[') +
+                                     std::string(64, ']')));
+  EXPECT_THROW(serve::Json::parse(std::string(65, '[') + std::string(65, ']')),
+               UsageError);
 }
 
 TEST(Service, StatsReportsCacheAndPerModeCounters) {
