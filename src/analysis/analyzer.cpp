@@ -1,7 +1,6 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -9,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/static/checker.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 
@@ -35,37 +33,6 @@ struct RegAgg {
   int max_bits = 0;        ///< Max max_bits_written over all schedules.
   long max_writes = 0;     ///< Max writes within one execution.
 };
-
-/// Registers whose per-step width tracking the explorer may skip because
-/// the static tier already proves them in-bounds: declared bounded, the IR
-/// derives strictly fewer bits than declared (so neither width-overflow nor
-/// bottom-escape can fire — values below 2^(b−1) never reach the ⊥ code
-/// point), and no static diagnostic touches the register. Opt-in via
-/// BSR_EXPLORE_STATIC_PREFILTER; any analysis failure disables the filter.
-std::vector<bool> prefilter_mask(const ProtocolSpec& spec, int nregs) {
-  std::vector<bool> mask(static_cast<std::size_t>(nregs), false);
-  if (std::getenv("BSR_EXPLORE_STATIC_PREFILTER") == nullptr) return mask;
-  if (!spec.describe) return mask;
-  try {
-    const ProtocolReport stat = analyze_static(spec);
-    if (static_cast<int>(stat.registers.size()) != nregs) return mask;
-    for (const RegisterAudit& a : stat.registers) {
-      if (a.declared_bits < 0) continue;  // unbounded: nothing tracked anyway
-      if (a.max_bits < 0 || a.max_bits >= a.declared_bits) continue;
-      bool flagged = false;
-      for (const Diagnostic& d : stat.diagnostics) {
-        if (d.reg == a.reg) {
-          flagged = true;
-          break;
-        }
-      }
-      if (!flagged) mask[static_cast<std::size_t>(a.reg)] = true;
-    }
-  } catch (...) {
-    return std::vector<bool>(static_cast<std::size_t>(nregs), false);
-  }
-  return mask;
-}
 
 }  // namespace
 
@@ -201,15 +168,9 @@ ProtocolReport analyze_protocol(const ProtocolSpec& spec) {
     }
   };
 
-  const std::vector<bool> skip_width = prefilter_mask(spec, nregs);
-  const auto make_sim = [&spec, &skip_width] {
+  const auto make_sim = [&spec] {
     auto sim = spec.factory();
     sim->set_violation_collecting(true);
-    for (std::size_t r = 0; r < skip_width.size(); ++r) {
-      if (skip_width[r]) {
-        sim->set_width_tracking(static_cast<int>(r), false);
-      }
-    }
     return sim;
   };
 

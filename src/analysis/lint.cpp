@@ -63,9 +63,9 @@ exit codes:
   1  at least one error-severity diagnostic (symbolic mode: includes
      claims refuted for some parameter valuation, witness in the message;
      steps mode: includes unproven [0, ∞] loops and refuted step claims)
-  2  usage or internal failure (unknown protocol, exploration bounds
-     exceeded, static/dynamic disagreement — including an observed step
-     count exceeding the symbolic bound)
+  2  usage or internal failure (unknown flag or protocol, exploration
+     bounds exceeded, static/dynamic disagreement — including an observed
+     step count exceeding the symbolic bound)
 )";
 
 int run_lint_impl(const LintOptions& opts, std::ostream& out,

@@ -44,8 +44,15 @@ bool send_all(int fd, const std::string& data) {
 }
 
 /// Serves one connection: reads newline-delimited requests until EOF,
-/// answering each in order.
+/// answering each in order. A line longer than kMaxLineBytes, terminated or
+/// not, ends the connection with one `usage` envelope.
 void serve_connection(int fd, Service& service) {
+  const auto refuse_overlong = [fd] {
+    send_all(fd, "{\"ok\":false,\"error\":\"usage\",\"message\":\"request "
+                 "line longer than " +
+                     std::to_string(kMaxLineBytes) + " bytes\"}\n");
+    ::close(fd);
+  };
   std::string buf;
   char chunk[4096];
   for (;;) {
@@ -54,6 +61,10 @@ void serve_connection(int fd, Service& service) {
     buf.append(chunk, static_cast<std::size_t>(n));
     std::size_t nl = 0;
     while ((nl = buf.find('\n')) != std::string::npos) {
+      if (nl > kMaxLineBytes) {
+        refuse_overlong();
+        return;
+      }
       const std::string line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
       if (line.empty()) continue;
@@ -61,6 +72,10 @@ void serve_connection(int fd, Service& service) {
         ::close(fd);
         return;
       }
+    }
+    if (buf.size() > kMaxLineBytes) {
+      refuse_overlong();
+      return;
     }
   }
   // Tolerate a final unterminated line: the CLI client sends exactly one.

@@ -1,11 +1,11 @@
 // The `bsr serve` transport: an AF_UNIX stream daemon over a Service.
 //
-// Wire protocol: newline-delimited JSON, one request object per line, one
-// response object per line, in order, over a connection the client closes
-// when done. Accepted connections queue onto a bounded ring drained by a
-// worker pool; when the queue is full the acceptor answers immediately with
-// a structured `overloaded` envelope and closes — clients never hang on a
-// busy daemon (docs/SERVE.md "Backpressure").
+// Wire protocol: newline-delimited JSON, one request object per line (at
+// most kMaxLineBytes), one response object per line, in order, over a
+// connection the client closes when done. Accepted connections queue onto a
+// bounded ring drained by a worker pool; when the queue is full the acceptor
+// answers immediately with a structured `overloaded` envelope and closes —
+// clients never hang on a busy daemon (docs/SERVE.md "Backpressure").
 //
 // Shutdown (a `shutdown` request, SIGINT, or SIGTERM) is graceful: stop
 // accepting, drain every queued and in-flight connection, join the workers,
@@ -19,6 +19,14 @@
 #include "serve/service.h"
 
 namespace bsr::serve {
+
+/// Longest request line the daemon buffers, in bytes. The largest valid
+/// request, a 256-element batch of lint requests that each name all 21
+/// registry specs, is 105 KiB of compact JSON; the cap leaves ten times
+/// that for whitespace and a growing registry. A longer line gets one
+/// `usage` envelope and the connection is closed, so one client cannot
+/// grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   std::string socket_path = "bsr.sock";

@@ -47,7 +47,7 @@ bool write_may_violate(const Sim& sim, Pid pid, int reg, const Value& v) {
   const Register& r = sim.register_info(reg);
   if (r.writer != -1 && r.writer != pid) return true;  // Swmr
   if (r.write_once && r.writes != 0) return true;      // WriteOnce
-  if (r.width_bits != kUnbounded && r.track_width) {
+  if (r.width_bits != kUnbounded) {
     if (!v.is_u64()) return true;  // Width (non-integer)
     if (v.bit_width() > r.width_bits) return true;  // Width (overflow)
     const std::uint64_t limit =
@@ -121,12 +121,10 @@ std::vector<Choice> legal_choices(const Sim& sim, int crashes_so_far,
     const std::vector<Pid> sources = sim.recv_choices(p);
     if (sources.empty()) {
       out.push_back(Choice{Choice::Kind::Step, p, -1});
-    } else if (opts.explore_recv_choices) {
+    } else {
       for (Pid from : sources) {
         out.push_back(Choice{Choice::Kind::Step, p, from});
       }
-    } else {
-      out.push_back(Choice{Choice::Kind::Step, p, sources.front()});
     }
   }
   if (crashes_so_far < opts.max_crashes) {
@@ -312,22 +310,16 @@ long Explorer::explore_serial(const Factory& make,
   }
   sim->set_checkpointing(true);
   if (opts_.tt != nullptr) {
-    sim->set_state_hashing(true, opts_.tt_symmetry);
+    sim->set_state_hashing(true);
     // Publish the root state too, so a table shared across explore calls
     // memoizes whole repeated searches.
     if (!opts_.tt->first_visit(sim->state_hash())) return 0;
   }
-  long visited = 0;
   detail::DfsCursor cursor;
-  detail::incremental_dfs(
+  return detail::incremental_dfs(
       *sim, opts_, -1, cursor,
       [&](Sim& s, const std::vector<Choice>& schedule,
-          const std::vector<std::size_t>&) {
-        ++visited;
-        if (visit(s, schedule)) return true;
-        return opts_.max_executions >= 0 && visited >= opts_.max_executions;
-      });
-  return visited;
+          const std::vector<std::size_t>&) { return visit(s, schedule); });
 }
 
 // --- ReplayExplorer: the original rebuild-and-replay DFS -------------------
@@ -385,12 +377,8 @@ long ReplayExplorer::explore_until(const Factory& make,
       apply(cs[0]);
     }
 
-    const bool stop = visit(*sim, schedule);
     ++visited;
-    if (stop ||
-        (opts_.max_executions >= 0 && visited >= opts_.max_executions)) {
-      return visited;
-    }
+    if (visit(*sim, schedule)) return visited;
 
     // Backtrack to the deepest depth with an unexplored alternative.
     while (!path.empty() && path.back() + 1 >= widths.back()) {

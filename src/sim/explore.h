@@ -49,18 +49,10 @@ struct ExploreOptions {
   long max_steps = 10'000;
   /// The adversary may crash up to this many processes (t of the model).
   int max_crashes = 0;
-  /// Enumerate the sender choice of Recv steps (otherwise lowest-pid first).
-  bool explore_recv_choices = true;
-  /// Abort after visiting this many complete executions (-1 = unlimited).
-  long max_executions = -1;
   /// Worker threads. 1 = serial; 0 = resolve from BSR_EXPLORE_THREADS
   /// (unset ⇒ 1, "0" or "auto" ⇒ hardware concurrency). Values > 1 run the
   /// parallel engine.
   int threads = 0;
-  /// Parallel engine: partition the choice tree at this depth into subtree
-  /// jobs (0 = choose automatically so there are comfortably more jobs than
-  /// threads).
-  int frontier_depth = 0;
   /// Parallel engine: by default visitor calls are serialized through a
   /// mutex so non-thread-safe visitors keep working. Set true only if the
   /// visitor is itself thread-safe (e.g. bumps atomics).
@@ -75,16 +67,11 @@ struct ExploreOptions {
   /// the number of distinct final configurations, not of schedules; the
   /// set of final states and collected violations is exactly that of the
   /// unpruned search as long as the table reports no drops. `explore_until`
-  /// early stops and `max_executions` remain correct but may leave
-  /// memoized-but-unfinished states in a shared table, so reuse the table
-  /// across calls only with plain `explore`. Ignored by ReplayExplorer
-  /// (the differential oracle) and by factories that pre-step the Sim.
+  /// early stops remain correct but may leave memoized-but-unfinished
+  /// states in a shared table, so reuse the table across calls only with
+  /// plain `explore`. Ignored by ReplayExplorer (the differential oracle)
+  /// and by factories that pre-step the Sim.
   std::shared_ptr<TranspositionTable> tt;
-  /// With `tt`: canonicalize states over pid permutations
-  /// (Sim::set_state_hashing symmetry mode). Only meaningful for protocols
-  /// symmetric in the process ids; preserves the *kinds* of reachable
-  /// violations, not exact counts or messages.
-  bool tt_symmetry = false;
   /// Sleep-set partial-order reduction (off by default). At each search
   /// node the engine skips any choice provably independent — via the
   /// footprint relation of analysis/static/interference.h, fed with
@@ -135,8 +122,8 @@ class Explorer {
 };
 
 /// The original explorer: rebuilds the Sim and replays the whole choice
-/// prefix for every branch. Kept as a slow-but-simple oracle. Ignores the
-/// `threads` / `frontier_depth` / `concurrent_visitor` options.
+/// prefix for every branch. Kept as a slow-but-simple oracle. Honors only
+/// `max_steps` and `max_crashes`.
 class ReplayExplorer {
  public:
   using Factory = Explorer::Factory;
@@ -196,8 +183,7 @@ using DfsLeafFn = std::function<bool(
 /// backtracking (requires sim.checkpointing()). Visits every node that is
 /// complete (no legal choices) or — when depth_limit >= 0 — at exactly
 /// `depth_limit` choices below the root, calling `leaf` for each; returns
-/// the number of leaves visited. Enforces opts.max_steps; ignores
-/// opts.max_executions (callers implement their own truncation in `leaf`).
+/// the number of leaves visited. Enforces opts.max_steps.
 /// With opts.tt set (requires sim.state_hashing()), every applied choice is
 /// probed against the table and already-seen states are pruned on entry;
 /// the engines never combine tt with a depth limit (pruning a frontier

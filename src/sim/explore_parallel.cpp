@@ -1,8 +1,8 @@
 #include "sim/explore_parallel.h"
 
 #include <atomic>
-#include <climits>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -105,20 +105,14 @@ long ParallelExplorer::explore_until(const Factory& make,
   // the workers still have to own, so phase 1 runs memoization-free.
   ExploreOptions frontier_opts = opts_;
   frontier_opts.tt.reset();
+  // Deepen until there are comfortably more jobs than threads, so the
+  // work-stealing pool can balance uneven subtrees.
   std::vector<Job> jobs;
-  if (opts_.frontier_depth > 0) {
+  const std::size_t want = 4u * static_cast<std::size_t>(threads_);
+  for (long depth = 2;; depth += 2) {
     bool exhausted = false;
-    jobs = enumerate_frontier(*root, frontier_opts, opts_.frontier_depth,
-                              exhausted);
-  } else {
-    // Deepen until there are comfortably more jobs than threads, so the
-    // work-stealing pool can balance uneven subtrees.
-    const std::size_t want = 4u * static_cast<std::size_t>(threads_);
-    for (long depth = 2;; depth += 2) {
-      bool exhausted = false;
-      jobs = enumerate_frontier(*root, frontier_opts, depth, exhausted);
-      if (jobs.size() >= want || exhausted || depth >= 24) break;
-    }
+    jobs = enumerate_frontier(*root, frontier_opts, depth, exhausted);
+    if (jobs.size() >= want || exhausted || depth >= 24) break;
   }
   root.reset();
 
@@ -164,7 +158,7 @@ long ParallelExplorer::explore_until(const Factory& make,
     std::unique_ptr<Sim> sim = make();
     usage_check(sim != nullptr, "Explorer: factory returned null");
     sim->set_checkpointing(true);
-    if (opts_.tt != nullptr) sim->set_state_hashing(true, opts_.tt_symmetry);
+    if (opts_.tt != nullptr) sim->set_state_hashing(true);
     detail::DfsCursor cursor;
     // Replay the job's prefix, revalidating each choice index against the
     // fresh Sim: a factory that does not rebuild the same world is a bug.
@@ -213,11 +207,8 @@ long ParallelExplorer::explore_until(const Factory& make,
           if (stop) {
             out.stopped = true;
             atomic_min(barrier, j);
-            return true;
           }
-          // A job alone can never contribute more than the global cap.
-          return opts_.max_executions >= 0 &&
-                 out.count >= opts_.max_executions;
+          return stop;
         });
   };
 
@@ -241,22 +232,11 @@ long ParallelExplorer::explore_until(const Factory& make,
   }  // joins the pool: all outcomes are published before the merge
 
   // --- Phase 3: deterministic merge in canonical subtree order. -----------
-  const long max = opts_.max_executions;
   long merged = 0;
   for (const JobOutcome& o : outcomes) {
-    // Local position (within this job) at which the serial engine would
-    // have hit the max_executions cut, if any.
-    const long cut = max >= 0 ? max - merged : LONG_MAX;
-    if (o.error != nullptr) {
-      if (cut <= o.count) return max;  // serial truncated before the error
-      std::rethrow_exception(o.error);
-    }
-    if (o.stopped) {
-      if (cut < o.count) return max;  // serial truncated before the stop
-      return merged + o.count;
-    }
+    if (o.error != nullptr) std::rethrow_exception(o.error);
     merged += o.count;
-    if (max >= 0 && merged >= max) return max;
+    if (o.stopped) return merged;
   }
   return merged;
 }

@@ -12,9 +12,9 @@
 // Determinism. Jobs are numbered in canonical DFS order, and every job
 // reports (count, stopped-at, error) for its subtree. The final result is
 // computed by walking the reports in canonical order, so the returned
-// execution count — including `max_executions` truncation and
-// `explore_until` early stops — is bit-identical to the serial engine no
-// matter how the subtrees interleaved at runtime. The only observable
+// execution count — including `explore_until` early stops — is
+// bit-identical to the serial engine no matter how the subtrees interleaved
+// at runtime. The only observable
 // difference from serial execution is that on an early stop (or an error),
 // visitors of canonically-later subtrees that were already running may have
 // been invoked before the stop was discovered.

@@ -190,7 +190,7 @@ void Sim::step(Pid pid, Pid recv_from) {
   }
   // The result history pins the coroutine state (bodies are deterministic),
   // so hashing it is how the "program counter" enters the state hash.
-  if (hashing_) hash_toggle_hist(pid, ctl.steps, ctl.result);
+  if (hashing_) hash_ ^= zobrist::hist_component(pid, ctl.steps, ctl.result);
   ctl.steps += 1;
   total_steps_ += 1;
   resume(ctl);
@@ -241,7 +241,7 @@ void Sim::crash(Pid pid) {
     u.kind = UndoRecord::Kind::Crash;
     u.pid = pid;
     undo_.push_back(std::move(u));
-    if (hashing_) hash_toggle_crash(pid);
+    if (hashing_) hash_ ^= zobrist::crash_component(pid);
   }
   ctl.crashed = true;
 }
@@ -280,13 +280,9 @@ void Sim::note_round(Pid pid, long idx) {
   }
 }
 
-void Sim::set_state_hashing(bool on, bool symmetry) {
+void Sim::set_state_hashing(bool on) {
   if (!on) {
     hashing_ = false;
-    hash_symmetry_ = false;
-    perms_.clear();
-    perm_regs_.clear();
-    hash_.clear();
     return;
   }
   usage_check(total_steps_ == 0,
@@ -294,105 +290,25 @@ void Sim::set_state_hashing(bool on, bool symmetry) {
   usage_check(checkpointing_,
               "set_state_hashing: requires checkpointing (the result log is "
               "part of the hashed state)");
-  usage_check(!symmetry || n() <= 5,
-              "set_state_hashing: symmetry reduction maintains n! hashes; "
-              "limited to n <= 5");
-  perms_ = symmetry ? zobrist::pid_permutations(n())
-                    : std::vector<std::vector<Pid>>{[&] {
-                        std::vector<Pid> id(ctls_.size());
-                        for (int i = 0; i < n(); ++i)
-                          id[static_cast<std::size_t>(i)] = i;
-                        return id;
-                      }()};
-  perm_regs_.clear();
-  for (const auto& perm : perms_) {
-    auto mapped = zobrist::permuted_registers(regs_, perm);
-    usage_check(mapped.has_value(),
-                "set_state_hashing: register table is not pid-symmetric "
-                "(per-owner register lists must match in width/flags)");
-    if (symmetry) {
-      for (std::size_t r = 0; r < regs_.size(); ++r) {
-        usage_check(
-            regs_[static_cast<std::size_t>((*mapped)[r])].value == regs_[r].value,
-            "set_state_hashing: symmetric registers must start with equal "
-            "contents");
-      }
-    }
-    perm_regs_.push_back(std::move(*mapped));
-  }
   hashing_ = true;
-  hash_symmetry_ = symmetry;
-  hash_.assign(perms_.size(), 0);
+  hash_ = 0;
   // Fold in the initial configuration: register contents, plus any
   // processes the factory crash-stopped before stepping began. Channels,
   // histories, and violations are necessarily empty at step zero.
   for (int r = 0; r < num_registers(); ++r) {
-    hash_toggle_reg(r, regs_[static_cast<std::size_t>(r)].value);
+    hash_ ^=
+        zobrist::reg_component(r, regs_[static_cast<std::size_t>(r)].value);
   }
   for (Pid p = 0; p < n(); ++p) {
-    if (ctls_[static_cast<std::size_t>(p)].ctl.crashed) hash_toggle_crash(p);
+    if (ctls_[static_cast<std::size_t>(p)].ctl.crashed) {
+      hash_ ^= zobrist::crash_component(p);
+    }
   }
 }
 
 std::uint64_t Sim::state_hash() const {
   usage_check(hashing_, "state_hash: state hashing is not enabled");
-  std::uint64_t best = hash_[0];
-  for (const std::uint64_t h : hash_) best = std::min(best, h);
-  return best;
-}
-
-void Sim::hash_toggle_reg(int reg, const Value& v) {
-  const std::uint64_t vh = zobrist::value_hash(v);
-  for (std::size_t p = 0; p < perms_.size(); ++p) {
-    const int pr = perm_regs_[p][static_cast<std::size_t>(reg)];
-    hash_[p] ^= zobrist::combine(
-        zobrist::combine(zobrist::kRegTag, static_cast<std::uint64_t>(pr)), vh);
-  }
-}
-
-void Sim::hash_toggle_hist(Pid pid, long index, const OpResult& r) {
-  const std::uint64_t vh = zobrist::value_hash(r.value);
-  for (std::size_t p = 0; p < perms_.size(); ++p) {
-    const Pid pp = perms_[p][static_cast<std::size_t>(pid)];
-    const Pid pf = r.from >= 0 ? perms_[p][static_cast<std::size_t>(r.from)]
-                               : r.from;
-    std::uint64_t h = zobrist::combine(
-        zobrist::kHistTag, (static_cast<std::uint64_t>(pp) << 32) ^
-                               static_cast<std::uint64_t>(index));
-    h = zobrist::combine(h, vh);
-    hash_[p] ^= zobrist::combine(h, static_cast<std::uint64_t>(pf) + 1);
-  }
-}
-
-void Sim::hash_toggle_chan(Pid from, Pid to, long slot, const Value& v) {
-  const std::uint64_t vh = zobrist::value_hash(v);
-  for (std::size_t p = 0; p < perms_.size(); ++p) {
-    const Pid pf = perms_[p][static_cast<std::size_t>(from)];
-    const Pid pt = perms_[p][static_cast<std::size_t>(to)];
-    std::uint64_t h = zobrist::combine(
-        zobrist::kChanTag, (static_cast<std::uint64_t>(pf) << 32) ^
-                               static_cast<std::uint64_t>(pt));
-    h = zobrist::combine(h, static_cast<std::uint64_t>(slot));
-    hash_[p] ^= zobrist::combine(h, vh);
-  }
-}
-
-void Sim::hash_toggle_crash(Pid pid) {
-  for (std::size_t p = 0; p < perms_.size(); ++p) {
-    hash_[p] ^= zobrist::crash_component(perms_[p][static_cast<std::size_t>(pid)]);
-  }
-}
-
-void Sim::hash_toggle_viol(const ModelEvent& e) {
-  const std::uint64_t mh =
-      hash_symmetry_ ? 0 : zobrist::message_hash(e.message);
-  for (std::size_t p = 0; p < perms_.size(); ++p) {
-    const Pid pp = e.pid >= 0 ? perms_[p][static_cast<std::size_t>(e.pid)]
-                              : e.pid;
-    const int pr = e.reg >= 0 ? perm_regs_[p][static_cast<std::size_t>(e.reg)]
-                              : e.reg;
-    hash_[p] ^= zobrist::viol_component(e.kind, pp, pr, mh);
-  }
+  return hash_;
 }
 
 void Sim::set_checkpointing(bool on) {
@@ -460,8 +376,8 @@ void Sim::undo_shared(const UndoRecord& u) {
     case OpKind::WriteSnap: {
       Register& r = reg_at(u.reg);
       if (hashing_) {
-        hash_toggle_reg(u.reg, r.value);
-        hash_toggle_reg(u.reg, u.old_value);
+        hash_ ^= zobrist::reg_component(u.reg, r.value) ^
+                 zobrist::reg_component(u.reg, u.old_value);
       }
       r.value = u.old_value;
       r.max_bits_written = u.old_max_bits;
@@ -474,9 +390,9 @@ void Sim::undo_shared(const UndoRecord& u) {
                             static_cast<std::size_t>(u.peer);
       auto& q = chan_[c];
       if (hashing_) {
-        hash_toggle_chan(u.pid, u.peer,
-                         chan_popped_[c] + static_cast<long>(q.size()) - 1,
-                         q.back());
+        hash_ ^= zobrist::chan_component(
+            u.pid, u.peer, chan_popped_[c] + static_cast<long>(q.size()) - 1,
+            q.back());
       }
       q.pop_back();
       total_sends_ -= 1;
@@ -488,7 +404,8 @@ void Sim::undo_shared(const UndoRecord& u) {
                             static_cast<std::size_t>(u.pid);
       chan_popped_[c] -= 1;
       if (hashing_) {
-        hash_toggle_chan(u.peer, u.pid, chan_popped_[c], u.recv_value);
+        hash_ ^= zobrist::chan_component(u.peer, u.pid, chan_popped_[c],
+                                         u.recv_value);
       }
       chan_[c].push_front(u.recv_value);
       break;
@@ -505,15 +422,15 @@ void Sim::rewind(std::size_t k) {
     const UndoRecord& u = undo_.back();
     auto& ctl = ctls_[static_cast<std::size_t>(u.pid)].ctl;
     if (u.kind == UndoRecord::Kind::Crash) {
-      if (hashing_) hash_toggle_crash(u.pid);
+      if (hashing_) hash_ ^= zobrist::crash_component(u.pid);
       ctl.crashed = false;
     } else {
       if (hashing_) {
-        hash_toggle_hist(
+        hash_ ^= zobrist::hist_component(
             u.pid, ctl.steps - 1,
             result_log_[static_cast<std::size_t>(u.pid)].back());
         for (std::size_t i = u.old_violations; i < violations_.size(); ++i) {
-          hash_toggle_viol(violations_[i]);
+          hash_ ^= zobrist::viol_component(violations_[i]);
         }
       }
       undo_shared(u);
@@ -660,11 +577,7 @@ void Sim::violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg) {
   // on one world state while blaming different processes for a violation
   // (e.g. opposite orders of two identical writes to a write-once
   // register), and pruning must not merge those findings.
-  if (hashing_) hash_toggle_viol(violations_.back());
-}
-
-void Sim::set_width_tracking(int reg, bool on) {
-  reg_at(reg).track_width = on;
+  if (hashing_) hash_ ^= zobrist::viol_component(violations_.back());
 }
 
 void Sim::do_write(Pid pid, int reg, const Value& v) {
@@ -679,7 +592,7 @@ void Sim::do_write(Pid pid, int reg, const Value& v) {
     violate(ModelEvent::Kind::WriteOnce, pid, reg,
             "second write to write-once register '" + r.name + "'");
   }
-  if (r.width_bits != kUnbounded && r.track_width) {
+  if (r.width_bits != kUnbounded) {
     if (!v.is_u64()) {
       violate(ModelEvent::Kind::Width, pid, reg,
               "non-integer value " + v.str() +
@@ -706,8 +619,8 @@ void Sim::do_write(Pid pid, int reg, const Value& v) {
     }
   }
   if (hashing_) {
-    hash_toggle_reg(reg, r.value);
-    hash_toggle_reg(reg, v);
+    hash_ ^= zobrist::reg_component(reg, r.value) ^
+             zobrist::reg_component(reg, v);
   }
   r.value = v;
   r.writes += 1;
@@ -761,9 +674,9 @@ void Sim::execute(ProcCtl& ctl, Pid recv_from) {
                                 static_cast<std::size_t>(n()) +
                             static_cast<std::size_t>(req.peer);
       if (hashing_) {
-        hash_toggle_chan(ctl.pid, req.peer,
-                         chan_popped_[c] + static_cast<long>(chan_[c].size()),
-                         req.value);
+        hash_ ^= zobrist::chan_component(
+            ctl.pid, req.peer,
+            chan_popped_[c] + static_cast<long>(chan_[c].size()), req.value);
       }
       chan_[c].push_back(req.value);
       total_sends_ += 1;
@@ -784,7 +697,10 @@ void Sim::execute(ProcCtl& ctl, Pid recv_from) {
                                 static_cast<std::size_t>(n()) +
                             static_cast<std::size_t>(ctl.pid);
       auto& q = chan_[c];
-      if (hashing_) hash_toggle_chan(from, ctl.pid, chan_popped_[c], q.front());
+      if (hashing_) {
+        hash_ ^= zobrist::chan_component(from, ctl.pid, chan_popped_[c],
+                                         q.front());
+      }
       ctl.result = OpResult{std::move(q.front()), from};
       q.pop_front();
       chan_popped_[c] += 1;

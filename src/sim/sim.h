@@ -42,11 +42,6 @@ struct Register {
   /// writable integers are 0 … 2^b − 2, and the initial value may be ⊥).
   bool allows_bottom = false;
   Value value;
-  /// When false, writes skip the bounded-width checks (Width/Bottom rules)
-  /// and the max_bits_written watermark. Cleared by the analyzer for
-  /// registers whose static bound already proves every write in range
-  /// (see BSR_EXPLORE_STATIC_PREFILTER); on by default.
-  bool track_width = true;
 
   // Accounting (for benches reporting actual register usage).
   long writes = 0;
@@ -301,17 +296,11 @@ class Sim {
   /// contents, per-process result histories, pending channels, crashes,
   /// collected violations), updated in O(1) per step and per rewound
   /// action. Requires checkpointing, must precede the first step, and
-  /// freezes the register table. With `symmetry`, one hash per pid
-  /// permutation is maintained (n <= 5) and `state_hash` reports the
-  /// minimum, canonicalizing states that differ only by a process renaming;
-  /// the register table must be pid-symmetric (zobrist::permuted_registers).
-  void set_state_hashing(bool on, bool symmetry = false);
+  /// freezes the register table.
+  void set_state_hashing(bool on);
   [[nodiscard]] bool state_hashing() const noexcept { return hashing_; }
-  [[nodiscard]] bool state_hash_symmetry() const noexcept {
-    return hash_symmetry_;
-  }
 
-  /// The (canonical) hash of the current configuration.
+  /// The hash of the current configuration.
   [[nodiscard]] std::uint64_t state_hash() const;
 
   // --- Model conformance (instrumentation for src/analysis) ----------------
@@ -330,13 +319,6 @@ class Sim {
   [[nodiscard]] bool violation_collecting() const noexcept {
     return collect_violations_;
   }
-
-  /// Enables or disables per-write width tracking (the Width/Bottom model
-  /// rules and the max_bits_written watermark) for one register. The
-  /// analyzer turns it off for registers whose static bound already proves
-  /// every write in range, so hot exploration loops skip the bit-width
-  /// arithmetic. Set before the first step.
-  void set_width_tracking(int reg, bool on);
 
   /// The violations recorded on the current execution path (collect mode).
   [[nodiscard]] const std::vector<ModelEvent>& model_violations()
@@ -446,14 +428,6 @@ class Sim {
   /// step results (see `rewind`).
   void rebuild_coroutine(Pid pid);
 
-  // Zobrist maintenance: each helper XOR-toggles one component into every
-  // maintained permutation hash, so the same call both applies and undoes.
-  void hash_toggle_reg(int reg, const Value& v);
-  void hash_toggle_hist(Pid pid, long index, const OpResult& r);
-  void hash_toggle_chan(Pid from, Pid to, long slot, const Value& v);
-  void hash_toggle_crash(Pid pid);
-  void hash_toggle_viol(const ModelEvent& e);
-
   SimOptions opts_;
   std::vector<ProcSlot> ctls_;
   std::vector<Register> regs_;
@@ -478,13 +452,10 @@ class Sim {
   /// gives queued messages stable absolute slot indices for hashing.
   std::vector<long> chan_popped_;
   bool hashing_ = false;
-  bool hash_symmetry_ = false;
-  /// Pid permutations hashed in parallel ([0] is the identity; just the
-  /// identity unless symmetry reduction is on) and, per permutation, the
-  /// induced register relabelling.
-  std::vector<std::vector<Pid>> perms_;
-  std::vector<std::vector<int>> perm_regs_;
-  std::vector<std::uint64_t> hash_;  ///< Running hash per permutation.
+  /// XOR of the zobrist::*_component of every fact of the current
+  /// configuration. XOR is its own inverse, so one toggle both applies and
+  /// undoes a fact.
+  std::uint64_t hash_ = 0;
   /// Set while rebuild_coroutine fast-forwards a body, so non-step side
   /// channels into the Sim (note_round) know to stay quiet.
   bool rebuilding_ = false;

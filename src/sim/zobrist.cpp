@@ -1,6 +1,5 @@
 #include "sim/zobrist.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "util/errors.h"
@@ -19,124 +18,33 @@ std::uint64_t message_hash(const std::string& s) noexcept {
   return mix(h);
 }
 
-std::vector<std::vector<Pid>> pid_permutations(int n) {
-  usage_check(n >= 1, "pid_permutations: need n >= 1");
-  std::vector<Pid> perm(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
-  std::vector<std::vector<Pid>> out;
-  do {
-    out.push_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return out;  // next_permutation cycles back: identity (sorted) comes first
-}
-
-std::optional<std::vector<int>> permuted_registers(
-    const std::vector<Register>& regs, const std::vector<Pid>& perm) {
-  // ordinal[r] = r's index among its writer's registers, in declaration
-  // order; slot[(writer, ordinal)] -> register index for the lookup.
-  const int nregs = static_cast<int>(regs.size());
-  std::vector<int> ordinal(regs.size(), 0);
-  std::vector<std::vector<int>> by_writer;  // by_writer[writer + 1][ordinal]
-  for (int r = 0; r < nregs; ++r) {
-    const std::size_t w = static_cast<std::size_t>(regs[static_cast<std::size_t>(r)].writer + 1);
-    if (w >= by_writer.size()) by_writer.resize(w + 1);
-    ordinal[static_cast<std::size_t>(r)] =
-        static_cast<int>(by_writer[w].size());
-    by_writer[w].push_back(r);
-  }
-  std::vector<int> out(regs.size());
-  for (int r = 0; r < nregs; ++r) {
-    const Register& src = regs[static_cast<std::size_t>(r)];
-    if (src.writer == -1) {
-      out[static_cast<std::size_t>(r)] = r;  // shared registers are fixpoints
-      continue;
-    }
-    const std::size_t w =
-        static_cast<std::size_t>(perm[static_cast<std::size_t>(src.writer)] + 1);
-    const std::size_t k = static_cast<std::size_t>(ordinal[static_cast<std::size_t>(r)]);
-    if (w >= by_writer.size() || k >= by_writer[w].size()) return std::nullopt;
-    const int image = by_writer[w][k];
-    const Register& dst = regs[static_cast<std::size_t>(image)];
-    if (dst.width_bits != src.width_bits || dst.write_once != src.write_once ||
-        dst.allows_bottom != src.allows_bottom) {
-      return std::nullopt;
-    }
-    out[static_cast<std::size_t>(r)] = image;
-  }
-  return out;
-}
-
-namespace {
-
-/// One permuted hash, recomputed from scratch over the full configuration.
-std::uint64_t full_hash_perm(const Sim& sim, const std::vector<Pid>& perm,
-                             const std::vector<int>& perm_regs,
-                             bool with_messages) {
+std::uint64_t full_hash(const Sim& sim) {
+  usage_check(sim.checkpointing(),
+              "zobrist::full_hash: checkpointing must be enabled (the result "
+              "log is part of the hashed state)");
   std::uint64_t h = 0;
   for (int r = 0; r < sim.num_registers(); ++r) {
-    h ^= reg_component(perm_regs[static_cast<std::size_t>(r)],
-                       sim.register_info(r).value);
+    h ^= reg_component(r, sim.register_info(r).value);
   }
   const int n = sim.n();
   for (Pid p = 0; p < n; ++p) {
-    const Pid pp = perm[static_cast<std::size_t>(p)];
     const auto& log = sim.result_log(p);
     for (std::size_t j = 0; j < log.size(); ++j) {
-      OpResult r = log[j];
-      if (r.from >= 0) r.from = perm[static_cast<std::size_t>(r.from)];
-      h ^= hist_component(pp, static_cast<long>(j), r);
+      h ^= hist_component(p, static_cast<long>(j), log[j]);
     }
-    if (sim.crashed(p)) h ^= crash_component(pp);
+    if (sim.crashed(p)) h ^= crash_component(p);
   }
   for (Pid from = 0; from < n; ++from) {
     for (Pid to = 0; to < n; ++to) {
       const std::deque<Value>& q = sim.channel(from, to);
       const long base = sim.channel_delivered(from, to);
       for (std::size_t i = 0; i < q.size(); ++i) {
-        h ^= chan_component(perm[static_cast<std::size_t>(from)],
-                            perm[static_cast<std::size_t>(to)],
-                            base + static_cast<long>(i), q[i]);
+        h ^= chan_component(from, to, base + static_cast<long>(i), q[i]);
       }
     }
   }
-  for (const ModelEvent& e : sim.model_violations()) {
-    const Pid pp = e.pid >= 0 ? perm[static_cast<std::size_t>(e.pid)] : e.pid;
-    const int pr = e.reg >= 0 ? perm_regs[static_cast<std::size_t>(e.reg)] : e.reg;
-    h ^= viol_component(e.kind, pp, pr,
-                        with_messages ? message_hash(e.message) : 0);
-  }
+  for (const ModelEvent& e : sim.model_violations()) h ^= viol_component(e);
   return h;
-}
-
-}  // namespace
-
-std::uint64_t full_hash(const Sim& sim, bool symmetry) {
-  usage_check(sim.checkpointing(),
-              "zobrist::full_hash: checkpointing must be enabled (the result "
-              "log is part of the hashed state)");
-  std::vector<int> identity_regs(static_cast<std::size_t>(sim.num_registers()));
-  for (int r = 0; r < sim.num_registers(); ++r) {
-    identity_regs[static_cast<std::size_t>(r)] = r;
-  }
-  if (!symmetry) {
-    std::vector<Pid> identity(static_cast<std::size_t>(sim.n()));
-    for (int i = 0; i < sim.n(); ++i) identity[static_cast<std::size_t>(i)] = i;
-    return full_hash_perm(sim, identity, identity_regs, /*with_messages=*/true);
-  }
-  std::vector<Register> regs;
-  regs.reserve(static_cast<std::size_t>(sim.num_registers()));
-  for (int r = 0; r < sim.num_registers(); ++r) {
-    regs.push_back(sim.register_info(r));
-  }
-  std::uint64_t best = ~std::uint64_t{0};
-  for (const std::vector<Pid>& perm : pid_permutations(sim.n())) {
-    const auto pr = permuted_registers(regs, perm);
-    usage_check(pr.has_value(),
-                "zobrist::full_hash: register table is not pid-symmetric");
-    best = std::min(best, full_hash_perm(sim, perm, *pr,
-                                         /*with_messages=*/false));
-  }
-  return best;
 }
 
 }  // namespace bsr::sim::zobrist

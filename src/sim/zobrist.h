@@ -26,25 +26,13 @@
 // them back out. A toggle is O(1) even for a nested full-information view,
 // because a composite Value caches its structural hash at construction.
 //
-// Symmetry reduction: for protocols that are symmetric in the process ids,
-// the Sim can maintain one running hash per pid permutation and report the
-// minimum as a canonical hash, so states that differ only by renaming
-// processes collapse. Registers are matched across the permutation by
-// (writer, per-owner declaration ordinal). This is sound only for the
-// quotient *up to violation messages and pid-dependent payloads*: message
-// strings embed pid numbers, so permuted hashes drop them, and values that
-// embed pids are not rewritten. Use it to search for violation kinds, not
-// to count states exactly (see docs/MODEL.md).
-//
 // Component keys are derived from splitmix64-seeded mixing chains rather
 // than lookup tables, so arbitrary register counts, step indices, and queue
 // depths need no preallocated key material.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/op.h"
 #include "sim/sim.h"
@@ -108,37 +96,19 @@ inline constexpr std::uint64_t kViolTag = mix(0x3c6ef372fe94f805ULL);
   return combine(kCrashTag, static_cast<std::uint64_t>(pid));
 }
 
-/// Component: one collected ModelEvent. `msg_hash` is message_hash(e.message)
-/// in exact mode and 0 under symmetry reduction (messages embed pid numbers,
-/// which the permutation cannot rewrite).
+/// Component: one collected ModelEvent, blamed pid and message included.
 [[nodiscard]] inline std::uint64_t viol_component(
-    ModelEvent::Kind kind, Pid pid, int reg, std::uint64_t msg_hash) noexcept {
-  std::uint64_t h = combine(kViolTag, static_cast<std::uint64_t>(kind));
-  h = combine(h, (static_cast<std::uint64_t>(pid) << 32) ^
-                     (static_cast<std::uint64_t>(reg) & 0xffffffffULL));
-  return combine(h, msg_hash);
+    const ModelEvent& e) noexcept {
+  std::uint64_t h = combine(kViolTag, static_cast<std::uint64_t>(e.kind));
+  h = combine(h, (static_cast<std::uint64_t>(e.pid) << 32) ^
+                     (static_cast<std::uint64_t>(e.reg) & 0xffffffffULL));
+  return combine(h, message_hash(e.message));
 }
 
-/// All n! permutations of [0, n), identity first. `n` must be small (the
-/// Sim guards n <= 5 before enabling symmetry reduction).
-[[nodiscard]] std::vector<std::vector<Pid>> pid_permutations(int n);
-
-/// Maps each register index to its image under the pid permutation `perm`:
-/// the register with the same per-owner declaration ordinal owned by
-/// perm[writer] (writer -1 registers map to themselves). Returns nullopt if
-/// the table is not structurally symmetric under `perm` — a counterpart is
-/// missing or differs in width/write-once/bottom flags. (Initial-content
-/// equality across the mapping is checked once by Sim::set_state_hashing;
-/// this function is also called mid-run, when contents legitimately differ.)
-[[nodiscard]] std::optional<std::vector<int>> permuted_registers(
-    const std::vector<Register>& regs, const std::vector<Pid>& perm);
-
-/// From-scratch recomputation of the Sim's canonical state hash (the
-/// property-test oracle for the incrementally maintained value, and the
-/// state fingerprint used by the ReplayExplorer differential oracle).
-/// Requires checkpointing (the result log is part of the state). With
-/// `symmetry`, recomputes every permuted hash and returns the minimum,
-/// matching Sim::state_hash under symmetry reduction.
-[[nodiscard]] std::uint64_t full_hash(const Sim& sim, bool symmetry = false);
+/// From-scratch recomputation of the Sim's state hash (the property-test
+/// oracle for the incrementally maintained value, and the state fingerprint
+/// used by the ReplayExplorer differential oracle). Requires checkpointing
+/// (the result log is part of the state).
+[[nodiscard]] std::uint64_t full_hash(const Sim& sim);
 
 }  // namespace bsr::sim::zobrist

@@ -3,21 +3,16 @@
 // at 1/2/8 threads — must enumerate the SAME multiset of executions
 // (canonical schedule hashes) and report the same count, across crash
 // budgets 0–2 and across register-, snapshot-, and Alg1/Alg2-based
-// protocols. Plus edge cases: max_executions truncation, explore_until
-// early-stop determinism, max_steps abort, and BSR_EXPLORE_THREADS
-// resolution.
+// protocols. Plus edge cases: explore_until early-stop determinism,
+// max_steps abort, and BSR_EXPLORE_THREADS resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
-#include "analysis/claims.h"
-#include "analysis/diag.h"
 #include "core/alg1.h"
 #include "core/alg2.h"
 #include "sim/explore.h"
@@ -179,42 +174,6 @@ TEST(ExploreEquivalence, Alg2Exhaustive) {
   expect_all_engines_agree(make, opts);
 }
 
-TEST(ExploreEquivalence, ExplicitFrontierDepthsAgree) {
-  // The partition point is an internal tuning knob: any frontier depth
-  // must produce the identical multiset.
-  const Enumeration oracle =
-      enumerate(ReplayExplorer(ExploreOptions{.max_crashes = 1}),
-                make_pair_sim);
-  for (int depth : {1, 3, 7}) {
-    ExploreOptions opts;
-    opts.max_crashes = 1;
-    opts.frontier_depth = depth;
-    const Enumeration par =
-        enumerate(ParallelExplorer(opts, 4), make_pair_sim);
-    EXPECT_EQ(par.count, oracle.count) << "depth=" << depth;
-    EXPECT_EQ(par.hashes, oracle.hashes) << "depth=" << depth;
-  }
-}
-
-TEST(ExploreEdgeCases, MaxExecutionsTruncatesIdentically) {
-  // The truncated COUNT is bit-identical across engines (the visited
-  // multiset under truncation is not guaranteed for the pool, which may
-  // touch canonically-later subtrees before the merge cuts them off).
-  for (long cap : {1L, 5L, 37L, 1000000L}) {
-    ExploreOptions opts;
-    opts.max_crashes = 1;
-    opts.max_executions = cap;
-    const long oracle = ReplayExplorer(opts).explore(
-        make_pair_sim, [](Sim&, const std::vector<Choice>&) {});
-    for (int threads : {1, 2, 8}) {
-      opts.threads = threads;
-      const long got = Explorer(opts).explore(
-          make_pair_sim, [](Sim&, const std::vector<Choice>&) {});
-      EXPECT_EQ(got, oracle) << "cap=" << cap << " threads=" << threads;
-    }
-  }
-}
-
 TEST(ExploreEdgeCases, EarlyStopCountIsDeterministic) {
   // explore_until returns the number of executions the SERIAL order visits
   // up to and including the first stopping one — regardless of which
@@ -289,48 +248,6 @@ TEST(ExploreEdgeCases, ThreadResolutionFollowsEnvVar) {
     ::unsetenv(kExploreThreadsEnv);
   } else {
     ::setenv(kExploreThreadsEnv, saved_copy.c_str(), 1);
-  }
-}
-
-TEST(ExploreStaticPrefilter, ErrorFindingsAreUnchanged) {
-  // BSR_EXPLORE_STATIC_PREFILTER lets the analyzer's exploration skip
-  // per-step width tracking for registers the static tier already bounds
-  // strictly below their declaration. Soundness check: the error-severity
-  // findings must be identical with and without the filter, on a clean
-  // protocol and on the canary that trips every rule. (Warnings may differ:
-  // a masked register stops reporting its width-unused slack.)
-  constexpr const char* kEnv = "BSR_EXPLORE_STATIC_PREFILTER";
-  const char* saved = std::getenv(kEnv);
-  const std::string saved_copy = saved == nullptr ? "" : saved;
-
-  const auto error_rules = [](const analysis::ProtocolReport& rep) {
-    std::map<std::string, int> rules;  // rule → count, a multiset
-    for (const analysis::Diagnostic& d : rep.diagnostics) {
-      if (d.severity == analysis::Severity::Error) ++rules[d.rule];
-    }
-    return rules;
-  };
-  // alg1's 2-bit ⊥-capable inputs are statically bounded to 1 bit, so the
-  // filter genuinely masks registers there; on the others every static
-  // bound meets its declaration and the filter is a no-op and must stay
-  // one.
-  for (const char* name :
-       {"alg1", "alg6-labelling", "sec4-quantized", "demo-misdeclared"}) {
-    const analysis::ProtocolSpec* spec = analysis::find_protocol(name);
-    ASSERT_NE(spec, nullptr) << name;
-    ::unsetenv(kEnv);
-    const analysis::ProtocolReport off = analyze_protocol(*spec);
-    ::setenv(kEnv, "1", 1);
-    const analysis::ProtocolReport on = analyze_protocol(*spec);
-    EXPECT_EQ(off.errors(), on.errors()) << name;
-    EXPECT_EQ(error_rules(off), error_rules(on)) << name;
-    EXPECT_EQ(off.executions, on.executions) << name;
-  }
-
-  if (saved == nullptr) {
-    ::unsetenv(kEnv);
-  } else {
-    ::setenv(kEnv, saved_copy.c_str(), 1);
   }
 }
 

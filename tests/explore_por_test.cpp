@@ -212,8 +212,7 @@ TEST(ExplorePor, KeepsBothWriteOnceBlameOrders) {
 }
 
 TEST(ExplorePor, PreservesChannelSemanticsOnRecvRace) {
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
+  const ExploreOptions opts;
   const Observed oracle = replay_oracle(make_recv_race, opts);
   // Message orders (10,20) and (20,10) are distinguishable by the receiver.
   EXPECT_GE(oracle.finals.size(), 2u);

@@ -96,14 +96,6 @@ TEST(Explorer, ExploresRecvChannelChoices) {
   EXPECT_EQ(firsts, (std::set<std::uint64_t>{10u, 20u}));
 }
 
-TEST(Explorer, MaxExecutionsBound) {
-  ExploreOptions opts;
-  opts.max_executions = 5;
-  Explorer ex(opts);
-  long count = ex.explore(make_pair_sim, [](Sim&, const std::vector<Choice>&) {});
-  EXPECT_EQ(count, 5);
-}
-
 TEST(Explorer, NonTerminatingProtocolHitsStepBound) {
   auto make = []() {
     auto sim = std::make_unique<Sim>(1);

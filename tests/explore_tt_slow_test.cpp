@@ -1,7 +1,7 @@
 // Full-registry differential: transposition-table pruning vs the
-// ReplayExplorer oracle on EVERY terminating registry protocol, plain and
-// with symmetry reduction. The fast smoke subset of the same properties
-// lives in explore_tt_test.cpp; this sweep carries the `slow` ctest label.
+// ReplayExplorer oracle on EVERY terminating registry protocol. The fast
+// smoke subset of the same properties lives in explore_tt_test.cpp; this
+// sweep carries the `slow` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "sim/sim.h"
 #include "sim/tt.h"
 #include "sim/zobrist.h"
-#include "util/errors.h"
 #include "util/value.h"
 
 namespace bsr::sim {
@@ -34,7 +33,6 @@ struct Observed {
   long count = 0;
   std::set<std::uint64_t> finals;
   std::set<std::string> violations;
-  std::set<std::string> kinds;
 };
 
 TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
@@ -70,7 +68,6 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
             oracle.finals.insert(zobrist::full_hash(sim));
             for (const ModelEvent& e : sim.model_violations()) {
               oracle.violations.insert(violation_key(e));
-              oracle.kinds.insert(to_string(e.kind));
             }
           });
     }
@@ -95,35 +92,6 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       EXPECT_EQ(pruned.finals, oracle.finals);
       EXPECT_EQ(pruned.violations, oracle.violations);
       EXPECT_LE(pruned.count, oracle.count);
-    }
-
-    // Symmetry reduction: at least as coarse as plain pruning, and every
-    // violation KIND the full sweep finds must still be found (pid
-    // attribution is deliberately quotiented away).
-    if (spec.params.n <= 5) {
-      auto tt = std::make_shared<TranspositionTable>(std::size_t{16} << 20);
-      ExploreOptions opts = spec.explore;
-      opts.tt = tt;
-      opts.tt_symmetry = true;
-      opts.threads = 1;
-      std::set<std::string> kinds;
-      long count = 0;
-      try {
-        count = Explorer(opts).explore(
-            make, [&](Sim& sim, const std::vector<Choice>&) {
-              for (const ModelEvent& e : sim.model_violations()) {
-                kinds.insert(to_string(e.kind));
-              }
-            });
-      } catch (const UsageError&) {
-        // Register table not structurally pid-symmetric: symmetry
-        // reduction is (correctly) refused for this protocol.
-        continue;
-      }
-      ASSERT_EQ(tt->stats().drops, 0);
-      EXPECT_LE(count, static_cast<long>(oracle.finals.size()));
-      EXPECT_GE(count, 1);
-      EXPECT_EQ(kinds, oracle.kinds);
     }
   }
 }

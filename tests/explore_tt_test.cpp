@@ -113,11 +113,10 @@ Observed replay_oracle(const Explorer::Factory& make,
 
 /// The same exploration through the incremental engine with a fresh TT.
 Observed tt_run(const Explorer::Factory& make, ExploreOptions opts,
-                bool symmetry = false, int threads = 1) {
+                int threads = 1) {
   Observed obs;
   auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
   opts.tt = tt;
-  opts.tt_symmetry = symmetry;
   opts.threads = threads;
   opts.concurrent_visitor = false;  // shared Observed, serialize the visitor
   obs.count = Explorer(opts).explore(
@@ -160,10 +159,8 @@ TEST(ExploreTT, PrunesToDistinctFinalStatesOnPairRace) {
 }
 
 TEST(ExploreTT, PreservesChannelStatesOnRecvRace) {
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
-  const Observed oracle = replay_oracle(make_recv_race, opts);
-  const Observed tt = tt_run(make_recv_race, opts);
+  const Observed oracle = replay_oracle(make_recv_race, ExploreOptions{});
+  const Observed tt = tt_run(make_recv_race, ExploreOptions{});
   EXPECT_EQ(tt.count, static_cast<long>(oracle.finals.size()));
   EXPECT_EQ(tt.finals, oracle.finals);
 }
@@ -183,36 +180,14 @@ TEST(ExploreTT, ConvergedStatesWithDistinctViolationBlameAreKept) {
   EXPECT_EQ(tt.violations, oracle.violations);
 }
 
-TEST(ExploreTT, SymmetryCollapsesPidRenamingsButKeepsViolationKinds) {
-  // pair race: (0,1) and (1,0) are pid-renamings of each other; (1,1) is
-  // symmetric. 3 distinct finals collapse to 2 canonical ones.
-  const Observed sym = tt_run(make_pair_sim, ExploreOptions{}, true);
-  EXPECT_EQ(sym.count, 2);
-
-  // Symmetry deliberately ignores pid attribution in violations (messages
-  // embed pid numbers), so the two blame orders of the write-once race
-  // collapse — but a write_once finding must survive.
-  const Observed oracle = replay_oracle(make_write_once_race, ExploreOptions{});
-  const Observed sym2 = tt_run(make_write_once_race, ExploreOptions{}, true);
-  EXPECT_EQ(sym2.count, 1);
-  auto kinds = [](const std::set<std::string>& keys) {
-    std::set<std::string> out;
-    for (const std::string& k : keys) out.insert(k.substr(0, k.find('|')));
-    return out;
-  };
-  EXPECT_EQ(kinds(sym2.violations), kinds(oracle.violations));
-}
-
 TEST(ExploreTT, ParallelCountMatchesSerialCount) {
   const Observed serial = tt_run(make_pair_sim, ExploreOptions{});
-  const Observed par = tt_run(make_pair_sim, ExploreOptions{}, false, 4);
+  const Observed par = tt_run(make_pair_sim, ExploreOptions{}, 4);
   EXPECT_EQ(par.count, serial.count);
   EXPECT_EQ(par.finals, serial.finals);
 
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
-  const Observed serial2 = tt_run(make_recv_race, opts);
-  const Observed par2 = tt_run(make_recv_race, opts, false, 4);
+  const Observed serial2 = tt_run(make_recv_race, ExploreOptions{});
+  const Observed par2 = tt_run(make_recv_race, ExploreOptions{}, 4);
   EXPECT_EQ(par2.count, serial2.count);
   EXPECT_EQ(par2.finals, serial2.finals);
 }

@@ -1,9 +1,9 @@
 // The `bsr serve` AF_UNIX daemon end to end: boot a real server on a
 // scratch socket, drive it with the client leg, and exercise the paths the
 // loopback tests cannot — cached repeats over the wire, bounded-queue
-// overload with a structured refusal, graceful shutdown that drains
-// every accepted connection before exiting, and the socket-path claim that
-// replaces only a stale socket.
+// overload with a structured refusal, the line-length and nesting caps,
+// graceful shutdown that drains every accepted connection before exiting,
+// and the socket-path claim that replaces only a stale socket.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <sys/un.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -181,6 +182,54 @@ TEST(ServeSocket, DeepNestingIsRefusedAndTheDaemonSurvives) {
   const serve::Json r = parse_line(
       serve::client_roundtrip(daemon.socket(), std::string(1'000'000, '[')));
   EXPECT_EQ(r.str_or("error", ""), "usage");
+  const std::string stats =
+      serve::client_roundtrip(daemon.socket(), R"({"mode":"stats"})");
+  EXPECT_TRUE(parse_line(stats).bool_or("ok", false)) << stats;
+}
+
+TEST(ServeSocket, OverlongLineIsRefusedAndTheDaemonSurvives) {
+  serve::ServerOptions opts;
+  opts.socket_path = scratch_socket("overlong");
+  Daemon daemon(opts);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, daemon.socket().c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // A daemon that waited for the newline would never answer: time out
+  // instead of hanging the suite.
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+  // One byte past the cap and no newline, with the connection left open:
+  // the daemon must answer as soon as the cap is crossed, then hang up.
+  const std::string line(serve::kMaxLineBytes + 1, 'x');
+  for (std::size_t off = 0; off < line.size();) {
+    const ssize_t n =
+        ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::string got;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "the daemon kept the connection open";
+  ::close(fd);
+
+  ASSERT_EQ(std::count(got.begin(), got.end(), '\n'), 1) << got;
+  const serve::Json r = parse_line(got.substr(0, got.size() - 1));
+  EXPECT_EQ(r.str_or("error", ""), "usage");
+  EXPECT_NE(r.str_or("message", "").find("request line longer than"),
+            std::string::npos);
+
   const std::string stats =
       serve::client_roundtrip(daemon.socket(), R"({"mode":"stats"})");
   EXPECT_TRUE(parse_line(stats).bool_or("ok", false)) << stats;

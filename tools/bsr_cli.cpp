@@ -15,8 +15,7 @@
 //   bsr trace   --k K --schedule "p0 p1 p0 ..."
 //       Replay a schedule of Algorithm 1 and dump the formatted trace.
 //   bsr explore --k K [--crashes C] [--threads T] [--max-steps S]
-//               [--tt] [--tt-bytes N] [--symmetry] [--no-tt]
-//               [--por] [--no-por] [--json]
+//               [--tt] [--tt-bytes N] [--no-tt] [--por] [--no-por] [--json]
 //       Exhaustively enumerate Algorithm 1's executions and print the count
 //       and decision spread. --threads 0 (the default) honors
 //       BSR_EXPLORE_THREADS; "auto" uses every hardware thread.
@@ -24,8 +23,7 @@
 //       count becomes the number of distinct final configurations, and the
 //       table's probe/hit/store/drop counters are reported ("collisions"
 //       are drops — full probe windows that fall back to exploring).
-//       --tt-bytes sizes the table (default 4 MiB); --symmetry additionally
-//       canonicalizes states over pid permutations. --no-tt is the
+//       --tt-bytes sizes the table (default 4 MiB). --no-tt is the
 //       differential mode: the same exploration is re-run through the
 //       ReplayExplorer oracle (no hashing, no rewinding) and the distinct
 //       final states and decision spread are cross-checked; any mismatch —
@@ -37,7 +35,8 @@
 //       skipped. The distinct-final-state set, decision spread, and
 //       violation findings are provably unchanged, so --por composes with
 //       --no-tt as a differential check of the reduction itself.
-//       --json emits one JSON object instead of text.
+//       --json emits one JSON object instead of text. An unknown flag is
+//       a usage error (exit 1) naming it.
 //   bsr lint [--protocol NAME[,NAME...]]
 //            [--mode dynamic|static|symbolic|both|interference|steps]
 //            [--static] [--max-pairs N] [--json] [--list] [--help]
@@ -59,7 +58,7 @@
 //       (static-step-bound), and cross-validates them against the max
 //       steps the explorer observes. Exits 0 clean, 1 on
 //       violations (including all-params refutations), 2 on usage errors
-//       or static/dynamic disagreement.
+//       (an unknown flag among them) or static/dynamic disagreement.
 //       `bsr lint --help` prints the full flag and exit-code reference.
 //   bsr doc [--serve-modes]
 //       Render the built-in protocol registry as the markdown protocol
@@ -84,6 +83,7 @@
 // Flags may be spelled `--key value` or `--key=value`.
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -92,6 +92,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "analysis/doc.h"
@@ -144,6 +145,14 @@ struct Args {
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return kv.contains(key);
+  }
+  /// The first given flag not in `known`, or "" if there is none.
+  [[nodiscard]] std::string unknown(
+      std::initializer_list<std::string_view> known) const {
+    for (const auto& [key, value] : kv) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) return key;
+    }
+    return "";
   }
 };
 
@@ -328,8 +337,7 @@ struct ExploreObs {
 
 constexpr const char* kExploreUsage =
     R"(usage: bsr explore [--k N] [--crashes N] [--max-steps N] [--threads N|auto]
-                   [--tt] [--tt-bytes N] [--symmetry] [--no-tt]
-                   [--por] [--no-por] [--json]
+                   [--tt] [--tt-bytes N] [--no-tt] [--por] [--no-por] [--json]
 
 Exhaustively enumerates Algorithm 1's executions and reports the decision
 spread against the paper's |y1-y2| <= 1 claim.
@@ -342,7 +350,6 @@ spread against the paper's |y1-y2| <= 1 claim.
   --tt             prune revisited states via the transposition table:
                    the count becomes distinct final configurations
   --tt-bytes N     table size in bytes (default 4194304; implies --tt)
-  --symmetry       canonicalize hashes over process renamings (implies --tt)
   --no-tt          differential mode: also run the replay oracle and exit
                    nonzero on any mismatch or dropped insert (implies --tt)
   --por            sleep-set partial-order reduction, driven by the static
@@ -352,10 +359,18 @@ spread against the paper's |y1-y2| <= 1 claim.
   --json           one JSON object instead of text
   --help           print this help and exit
 
-exit status: 0 ok; 1 differential mismatch, usage or model error.
+exit status: 0 ok; 1 differential mismatch, usage error (including an
+unknown flag) or model error.
 )";
 
 int cmd_explore(const Args& a) {
+  if (const std::string bad =
+          a.unknown({"k", "crashes", "max-steps", "threads", "tt", "tt-bytes",
+                     "no-tt", "por", "no-por", "json", "help"});
+      !bad.empty()) {
+    throw UsageError("bsr explore: unknown flag '--" + bad +
+                     "' (see bsr explore --help)");
+  }
   if (a.flag("help")) {
     std::cout << kExploreUsage;
     return 0;
@@ -382,8 +397,7 @@ int cmd_explore(const Args& a) {
   const int resolved = sim::resolve_explore_threads(opts.threads);
 
   const bool differential = a.flag("no-tt");
-  const bool use_tt = a.flag("tt") || a.flag("tt-bytes") ||
-                      a.flag("symmetry") || differential;
+  const bool use_tt = a.flag("tt") || a.flag("tt-bytes") || differential;
   const bool json = a.flag("json");
   // --no-por wins over --por (spelling the default explicitly always works).
   opts.por = a.flag("por") && !a.flag("no-por");
@@ -392,7 +406,6 @@ int cmd_explore(const Args& a) {
     tt = std::make_shared<sim::TranspositionTable>(
         static_cast<std::size_t>(a.u64("tt-bytes", std::size_t{1} << 22)));
     opts.tt = tt;
-    opts.tt_symmetry = a.flag("symmetry");
   }
 
   const auto make = [k]() {
@@ -429,9 +442,7 @@ int cmd_explore(const Args& a) {
           return sim;
         },
         [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
-          // Canonicalize with the same symmetry mode as the pruned run, so
-          // the final-state sets are comparable hash-for-hash.
-          oracle.visit(sim, sim::zobrist::full_hash(sim, opts.tt_symmetry));
+          oracle.visit(sim, sim::zobrist::full_hash(sim));
         });
     match = tt->stats().drops == 0 && obs.finals == oracle.finals &&
             obs.count == static_cast<long>(oracle.finals.size()) &&
@@ -452,7 +463,6 @@ int cmd_explore(const Args& a) {
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
       std::cout << ",\"tt\":{\"bytes\":" << s.slots * 8
-                << ",\"symmetry\":" << (opts.tt_symmetry ? "true" : "false")
                 << ",\"probes\":" << s.probes << ",\"hits\":" << s.hits
                 << ",\"stores\":" << s.stores << ",\"drops\":" << s.drops
                 << "}";
@@ -476,8 +486,7 @@ int cmd_explore(const Args& a) {
       const sim::TranspositionTable::Stats s = tt->stats();
       std::cout << "tt: " << s.slots * 8 << " bytes, probes " << s.probes
                 << ", hits " << s.hits << ", stores " << s.stores
-                << ", drops " << s.drops
-                << (opts.tt_symmetry ? ", symmetry on" : "") << "\n";
+                << ", drops " << s.drops << "\n";
     }
     if (differential) {
       std::cout << "oracle: " << oracle.count << " schedules, "
@@ -489,6 +498,13 @@ int cmd_explore(const Args& a) {
 }
 
 int cmd_lint(const Args& a) {
+  if (const std::string bad = a.unknown(
+          {"protocol", "mode", "static", "max-pairs", "json", "list", "help"});
+      !bad.empty()) {
+    std::cerr << "bsr lint: unknown flag '--" << bad
+              << "' (see bsr lint --help)\n";
+    return 2;
+  }
   analysis::LintOptions opts;
   opts.json = a.flag("json");
   opts.list = a.flag("list");
