@@ -70,7 +70,8 @@ Task<std::pair<int, std::uint64_t>> alg6_simulate(P p, Alg6Handles h,
 
   // The trace accumulates by appending, so it must start empty on every run
   // of this body — including the incremental explorer's coroutine rebuilds,
-  // which re-execute local code after a rewind (see docs/MODEL.md).
+  // which re-execute local code when a rewound step returns a different
+  // result (see docs/MODEL.md).
   if (diag != nullptr) {
     diag->proc[static_cast<std::size_t>(me)] = Alg6ProcTrace{};
   }

@@ -180,9 +180,11 @@ class P {
   ReflectCtx* rctx_ = nullptr;
   sim::Pid pid_ = -1;  ///< Reflect-mode pid (execute asks the Env).
   /// 1-based count of `round` entries through THIS handle. Lives on the
-  /// handle (not the Env) so a body resurrected by Sim::rewind rebuilds it
-  /// along with the rest of the coroutine frame; the simulator suppresses
-  /// the duplicate note_round calls during that fast-forward.
+  /// handle (not the Env), so it is coroutine-frame state: a frame that
+  /// Sim::rewind keeps keeps its count, and a rebuilt frame recounts while
+  /// the simulator suppresses the duplicate note_round calls of the
+  /// fast-forward. A step that noted a round is never reused after a
+  /// rewind, so re-executing it resumes the body and notes the round again.
   mutable long rounds_entered_ = 0;
 };
 

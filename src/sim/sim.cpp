@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "sim/zobrist.h"
 
@@ -152,7 +153,8 @@ void Sim::step(Pid pid, Pid recv_from) {
   usage_check(enabled(pid), [&] {
     return "step: process " + std::to_string(pid) + " is not enabled";
   });
-  auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
+  ProcSlot& slot = ctls_[static_cast<std::size_t>(pid)];
+  ProcCtl& ctl = slot.ctl;
   UndoRecord undo;
   if (checkpointing_) undo = capture_undo(ctl);
   reg_ops_in_step_ = 0;
@@ -179,13 +181,23 @@ void Sim::step(Pid pid, Pid recv_from) {
   if (opts_.record_trace) {
     trace_.push_back(TraceEvent{pid, ctl.pending, ctl.result});
   }
+  // A frame left ahead by `rewind` already consumed a result at this step;
+  // if it is this one, the frame is reused as it stands, otherwise it is
+  // rebuilt through the kept prefix and resumed below.
+  bool reuse = false;
   if (checkpointing_) {
-    if (undo.op == OpKind::Recv) {
-      undo.recv_value = ctl.result.value;  // payload to re-queue on rewind
-      undo.peer = ctl.result.from;
-    }
     undo.traced = opts_.record_trace;
     undo_.push_back(std::move(undo));
+    if (!slot.ahead.empty()) {
+      const FrameStep& next = slot.ahead.back();
+      reuse = next.reusable && next.result.value == ctl.result.value &&
+              next.result.from == ctl.result.from;
+      if (!reuse) {
+        OpResult fresh = std::move(ctl.result);
+        rebuild_coroutine(pid);
+        ctl.result = std::move(fresh);
+      }
+    }
     result_log_[static_cast<std::size_t>(pid)].push_back(ctl.result);
   }
   // The result history pins the coroutine state (bodies are deterministic),
@@ -193,7 +205,15 @@ void Sim::step(Pid pid, Pid recv_from) {
   if (hashing_) hash_ ^= zobrist::hist_component(pid, ctl.steps, ctl.result);
   ctl.steps += 1;
   total_steps_ += 1;
-  resume(ctl);
+  if (!reuse) {
+    resume(ctl);
+    return;
+  }
+  FrameStep& next = slot.ahead.back();
+  ctl.pending = std::move(next.pending);
+  ctl.terminated = next.terminated;
+  ctl.decision = std::move(next.decision);
+  slot.ahead.pop_back();
 }
 
 void Sim::step_block(const std::vector<Pid>& pids) {
@@ -272,6 +292,9 @@ void Sim::set_max_rounds(long rounds) {
 void Sim::note_round(Pid pid, long idx) {
   check_pid(pid);
   if (rebuilding_ || max_rounds_ < 0) return;
+  // Only step() resumes a body while checkpointing, after pushing the
+  // step's undo record.
+  if (checkpointing_ && !undo_.empty()) undo_.back().reusable = false;
   if (idx > max_rounds_) {
     violate(ModelEvent::Kind::Round, pid, -1,
             "process " + std::to_string(pid) + " entered round " +
@@ -322,6 +345,11 @@ void Sim::set_checkpointing(bool on) {
                 "(the undo log must cover the whole history)");
     result_log_.assign(ctls_.size(), {});
   } else {
+    for (Pid p = 0; p < n(); ++p) {
+      if (!ctls_[static_cast<std::size_t>(p)].ahead.empty()) {
+        rebuild_coroutine(p);
+      }
+    }
     undo_.clear();
     result_log_.clear();
   }
@@ -332,66 +360,46 @@ Sim::UndoRecord Sim::capture_undo(const ProcCtl& ctl) const {
   UndoRecord u;
   u.kind = UndoRecord::Kind::Step;
   u.pid = ctl.pid;
-  u.op = ctl.pending.kind;
+  u.request = ctl.pending;
   u.old_violations = violations_.size();
-  switch (ctl.pending.kind) {
-    case OpKind::Start:
-      break;
-    case OpKind::Read:
-      u.read_regs = {ctl.pending.reg};
-      break;
-    case OpKind::Write:
-      u.reg = ctl.pending.reg;
-      u.old_value = reg_at(u.reg).value;
-      u.old_max_bits = reg_at(u.reg).max_bits_written;
-      break;
-    case OpKind::Snapshot:
-      u.read_regs = ctl.pending.regs;
-      break;
-    case OpKind::WriteSnap:
-      u.reg = ctl.pending.reg;
-      u.old_value = reg_at(u.reg).value;
-      u.old_max_bits = reg_at(u.reg).max_bits_written;
-      u.read_regs = ctl.pending.regs;
-      break;
-    case OpKind::Send:
-      u.peer = ctl.pending.peer;
-      break;
-    case OpKind::Recv:
-      // The delivered payload and actual sender are filled in after
-      // execution (step() copies them out of the result).
-      break;
+  if (u.request.kind == OpKind::Write || u.request.kind == OpKind::WriteSnap) {
+    const Register& r = reg_at(u.request.reg);
+    u.old_value = r.value;
+    u.old_max_bits = r.max_bits_written;
   }
   return u;
 }
 
-void Sim::undo_shared(const UndoRecord& u) {
-  switch (u.op) {
+void Sim::undo_shared(const UndoRecord& u, const OpResult& result) {
+  const OpRequest& req = u.request;
+  switch (req.kind) {
     case OpKind::Start:
       break;
     case OpKind::Read:
-    case OpKind::Snapshot:
-      break;  // only read counters, handled below
+      reg_at(req.reg).reads -= 1;
+      break;
     case OpKind::Write:
     case OpKind::WriteSnap: {
-      Register& r = reg_at(u.reg);
+      Register& r = reg_at(req.reg);
       if (hashing_) {
-        hash_ ^= zobrist::reg_component(u.reg, r.value) ^
-                 zobrist::reg_component(u.reg, u.old_value);
+        hash_ ^= zobrist::reg_component(req.reg, r.value) ^
+                 zobrist::reg_component(req.reg, u.old_value);
       }
       r.value = u.old_value;
       r.max_bits_written = u.old_max_bits;
       r.writes -= 1;
       break;
     }
+    case OpKind::Snapshot:
+      break;
     case OpKind::Send: {
       const std::size_t c = static_cast<std::size_t>(u.pid) *
                                 static_cast<std::size_t>(n()) +
-                            static_cast<std::size_t>(u.peer);
+                            static_cast<std::size_t>(req.peer);
       auto& q = chan_[c];
       if (hashing_) {
         hash_ ^= zobrist::chan_component(
-            u.pid, u.peer, chan_popped_[c] + static_cast<long>(q.size()) - 1,
+            u.pid, req.peer, chan_popped_[c] + static_cast<long>(q.size()) - 1,
             q.back());
       }
       q.pop_back();
@@ -399,54 +407,61 @@ void Sim::undo_shared(const UndoRecord& u) {
       break;
     }
     case OpKind::Recv: {
-      const std::size_t c = static_cast<std::size_t>(u.peer) *
+      // The delivered payload goes back to the head of the channel of its
+      // actual sender (the request's `peer` is only a filter).
+      const std::size_t c = static_cast<std::size_t>(result.from) *
                                 static_cast<std::size_t>(n()) +
                             static_cast<std::size_t>(u.pid);
       chan_popped_[c] -= 1;
       if (hashing_) {
-        hash_ ^= zobrist::chan_component(u.peer, u.pid, chan_popped_[c],
-                                         u.recv_value);
+        hash_ ^= zobrist::chan_component(result.from, u.pid, chan_popped_[c],
+                                         result.value);
       }
-      chan_[c].push_front(u.recv_value);
+      chan_[c].push_front(result.value);
       break;
     }
   }
-  for (int reg : u.read_regs) reg_at(reg).reads -= 1;
+  if (req.kind == OpKind::Snapshot || req.kind == OpKind::WriteSnap) {
+    for (int reg : req.regs) reg_at(reg).reads -= 1;
+  }
 }
 
 void Sim::rewind(std::size_t k) {
   usage_check(checkpointing_, "rewind: checkpointing is not enabled");
   usage_check(k <= undo_.size(), "rewind: fewer recorded actions than k");
-  std::vector<long> unwound(ctls_.size(), 0);
   for (; k > 0; --k) {
-    const UndoRecord& u = undo_.back();
-    auto& ctl = ctls_[static_cast<std::size_t>(u.pid)].ctl;
+    UndoRecord& u = undo_.back();
+    ProcSlot& slot = ctls_[static_cast<std::size_t>(u.pid)];
+    ProcCtl& ctl = slot.ctl;
     if (u.kind == UndoRecord::Kind::Crash) {
       if (hashing_) hash_ ^= zobrist::crash_component(u.pid);
       ctl.crashed = false;
     } else {
+      auto& log = result_log_[static_cast<std::size_t>(u.pid)];
       if (hashing_) {
-        hash_ ^= zobrist::hist_component(
-            u.pid, ctl.steps - 1,
-            result_log_[static_cast<std::size_t>(u.pid)].back());
+        hash_ ^= zobrist::hist_component(u.pid, ctl.steps - 1, log.back());
         for (std::size_t i = u.old_violations; i < violations_.size(); ++i) {
           hash_ ^= zobrist::viol_component(violations_[i]);
         }
       }
-      undo_shared(u);
+      undo_shared(u, log.back());
       if (violations_.size() > u.old_violations) {
         violations_.resize(u.old_violations);
       }
       if (u.traced) trace_.pop_back();
       ctl.steps -= 1;
       total_steps_ -= 1;
-      result_log_[static_cast<std::size_t>(u.pid)].pop_back();
-      unwound[static_cast<std::size_t>(u.pid)] += 1;
+      // The frame stays where it is: remember what it consumed and became,
+      // and put the control block back to just before the step (a process
+      // that steps is alive and undecided).
+      slot.ahead.push_back(
+          FrameStep{std::move(log.back()),
+                    std::exchange(ctl.pending, std::move(u.request)),
+                    std::exchange(ctl.terminated, false),
+                    std::exchange(ctl.decision, Value()), u.reusable});
+      log.pop_back();
     }
     undo_.pop_back();
-  }
-  for (Pid p = 0; p < n(); ++p) {
-    if (unwound[static_cast<std::size_t>(p)] > 0) rebuild_coroutine(p);
   }
 }
 
@@ -456,6 +471,7 @@ void Sim::rebuild_coroutine(Pid pid) {
   const auto& log = result_log_[static_cast<std::size_t>(pid)];
   usage_check(static_cast<long>(log.size()) == ctl.steps,
               "rewind: result log out of sync with step count");
+  slot.ahead.clear();
   const bool was_crashed = ctl.crashed;
   ctl.terminated = false;
   ctl.crashed = false;

@@ -268,18 +268,22 @@ class Sim {
   void set_max_rounds(long rounds);
   [[nodiscard]] long max_rounds() const noexcept { return max_rounds_; }
 
-  /// Round-entry hook (see Env::note_round). Ignored while a rewind is
-  /// fast-forwarding a rebuilt coroutine (the entry was already checked
-  /// when it first executed).
+  /// Round-entry hook (see Env::note_round). Ignored while a rebuilt
+  /// coroutine is fast-forwarded (the entry was already checked when it
+  /// first executed). Under a declared budget it also marks the step in
+  /// flight as never reusable after a rewind (see `rewind`), so
+  /// re-executing that step resumes the body and checks the entry again.
   void note_round(Pid pid, long idx);
 
   // --- Checkpointing (incremental backtracking for the explorer) -----------
 
   /// Starts recording an undo log so that `rewind` can step the world
   /// backwards. Must be enabled before the first step/crash (the log must
-  /// cover every action since the initial state, because rewinding a process
-  /// rebuilds its coroutine from the start and fast-forwards it through its
-  /// recorded step results). Disabling clears the log.
+  /// cover every action since the initial state, because a coroutine that
+  /// has to be rebuilt is fast-forwarded from the start through its
+  /// recorded step results). Disabling clears the log, after first
+  /// rebuilding every coroutine a rewind left ahead of its process's
+  /// logical position, so later steps resume frames that are in sync.
   ///
   /// Checkpointing is incompatible with `step_block` (no undo support).
   void set_checkpointing(bool on);
@@ -328,11 +332,18 @@ class Sim {
 
   /// Undoes the last `k` recorded actions (steps and crashes), restoring
   /// registers, channels, traces, accounting, and process control state.
-  /// Process coroutines that stepped within the undone suffix are rebuilt
-  /// from their body and fast-forwarded through their surviving recorded
-  /// results — protocols are deterministic state machines, so feeding the
-  /// same results reproduces the same coroutine state without re-executing
-  /// (or re-validating) any shared-memory operation.
+  /// A process that stepped within the undone suffix keeps its live
+  /// coroutine frame, which is now ahead of its logical position: each
+  /// undone step remembers the result the frame consumed and the control
+  /// state it reached, and its executed request becomes pending again.
+  /// When `step` re-executes such a step and it yields the same result
+  /// (value and sender), the remembered state is restored without resuming
+  /// the body. At the first differing result, the coroutine is rebuilt
+  /// from its body, fast-forwarded through the kept prefix of recorded
+  /// results, and resumed with the new one. Protocols are deterministic
+  /// state machines, so both paths reach the state a never-rewound Sim
+  /// reaches, without re-executing (or re-validating) any shared-memory
+  /// operation of the prefix.
   void rewind(std::size_t k);
 
   // --- Inspection -----------------------------------------------------------
@@ -379,6 +390,17 @@ class Sim {
   [[nodiscard]] long total_sends() const noexcept { return total_sends_; }
 
  private:
+  /// A step that `rewind` undid but the process's live coroutine frame had
+  /// already taken: the result the frame consumed and the control state
+  /// that resume left behind.
+  struct FrameStep {
+    OpResult result;
+    OpRequest pending;
+    bool terminated = false;
+    Value decision;
+    bool reusable = true;  ///< See UndoRecord::reusable.
+  };
+
   struct ProcSlot {
     ProcCtl ctl;
     std::unique_ptr<Env> env;
@@ -388,6 +410,9 @@ class Sim {
     std::function<Proc(Env&)> body;
     Proc coro;
     bool spawned = false;
+    /// The undone steps the frame is ahead by, the next one to re-execute
+    /// on top. Empty whenever the frame is at the logical position.
+    std::vector<FrameStep> ahead;
   };
 
   /// One undoable action, recorded while checkpointing.
@@ -395,14 +420,14 @@ class Sim {
     enum class Kind { Step, Crash };
     Kind kind = Kind::Step;
     Pid pid = -1;
-    OpKind op = OpKind::Start;
-    int reg = -1;               ///< Write/WriteSnap target register.
-    Value old_value;            ///< Previous content of `reg`.
-    int old_max_bits = 0;       ///< Previous max_bits_written of `reg`.
-    std::vector<int> read_regs; ///< Registers whose read count to decrement.
-    Pid peer = -1;              ///< Send destination / Recv actual sender.
-    Value recv_value;           ///< Recv: delivered payload, to re-queue.
+    OpRequest request;          ///< The executed op; pending again on rewind.
+    Value old_value;            ///< Write/WriteSnap: previous register content.
+    int old_max_bits = 0;       ///< Previous max_bits_written of that register.
     bool traced = false;        ///< A TraceEvent was recorded for this step.
+    /// False once the step's resume noted a round under a declared budget:
+    /// that check is the one effect a resume has on the Sim, so a rewound
+    /// frame must not skip it by reusing this step.
+    bool reusable = true;
     /// Size of the violation log when this action started (collect mode):
     /// rewinding truncates the log back to exactly this count.
     std::size_t old_violations = 0;
@@ -422,10 +447,13 @@ class Sim {
   void resume(ProcCtl& ctl);
   /// Fills an UndoRecord from the op about to be executed (pre-state).
   [[nodiscard]] UndoRecord capture_undo(const ProcCtl& ctl) const;
-  /// Reverts the shared-state effects of one executed step.
-  void undo_shared(const UndoRecord& u);
+  /// Reverts the shared-state effects of one executed step, whose result
+  /// was `result`.
+  void undo_shared(const UndoRecord& u, const OpResult& result);
   /// Recreates `pid`'s coroutine and fast-forwards it through its recorded
-  /// step results (see `rewind`).
+  /// step results, dropping the frame steps a rewind left ahead. Runs only
+  /// when a re-executed step's result differs from the one the frame
+  /// consumed (see `rewind`), or when checkpointing is switched off.
   void rebuild_coroutine(Pid pid);
 
   SimOptions opts_;
@@ -456,8 +484,9 @@ class Sim {
   /// configuration. XOR is its own inverse, so one toggle both applies and
   /// undoes a fact.
   std::uint64_t hash_ = 0;
-  /// Set while rebuild_coroutine fast-forwards a body, so non-step side
-  /// channels into the Sim (note_round) know to stay quiet.
+  /// Set while rebuild_coroutine fast-forwards a body through results whose
+  /// steps already ran live, so the one non-step side channel into the Sim
+  /// (note_round) stays quiet.
   bool rebuilding_ = false;
   bool edges_declared_ = false;  ///< declare_edge overrode SimOptions::edges.
   long max_rounds_ = -1;

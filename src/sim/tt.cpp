@@ -3,8 +3,11 @@
 namespace bsr::sim {
 
 TranspositionTable::TranspositionTable(std::size_t bytes) {
+  // Doubles while twice the slots still fit; dividing `bytes` instead of
+  // multiplying `slots` keeps a huge request from wrapping to an endless
+  // loop, so it reaches the allocation and fails there.
   std::size_t slots = std::size_t{1} << 10;
-  while (slots * 2 * sizeof(std::uint64_t) <= bytes) slots *= 2;
+  while (slots <= bytes / (2 * sizeof(std::uint64_t))) slots *= 2;
   slots_ = std::vector<std::atomic<std::uint64_t>>(slots);
   mask_ = static_cast<std::uint64_t>(slots) - 1;
 }

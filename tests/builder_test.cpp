@@ -241,11 +241,13 @@ TEST(Builder, DeclaredMaxRoundsBoundsExecution) {
 }
 
 TEST(Builder, RoundAccountingSurvivesExplorerRewinds) {
-  // The incremental explorer rewinds and resurrects coroutine frames; the
-  // per-handle round counter is frame state and the simulator suppresses
-  // note_round during the resurrection fast-forward, so every leaf must
-  // report exactly one over-budget entry per process — the same as a
-  // rewind-free replay exploration.
+  // The incremental explorer rewinds past round entries. The per-handle
+  // round counter is frame state: a kept frame keeps it, and a rebuilt one
+  // recounts while the simulator suppresses note_round during the
+  // fast-forward. A step that noted a round is never reused, so its Round
+  // check runs again whenever the step is re-executed. Every leaf must
+  // therefore report exactly one over-budget entry per process, the same
+  // as a rewind-free replay exploration.
   const auto make = [] {
     auto s = make_rounds_sim(2, 2);
     s->set_violation_collecting(true);

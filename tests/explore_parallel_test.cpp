@@ -1,10 +1,11 @@
 // Serial-vs-parallel explorer equivalence: every engine — the replay
 // oracle, the serial incremental engine, and the frontier-partitioned pool
 // at 1/2/8 threads — must enumerate the SAME multiset of executions
-// (canonical schedule hashes) and report the same count, across crash
-// budgets 0–2 and across register-, snapshot-, and Alg1/Alg2-based
-// protocols. Plus edge cases: explore_until early-stop determinism,
-// max_steps abort, and BSR_EXPLORE_THREADS resolution.
+// (canonical schedule hashes with the decisions they reach) and report the
+// same count, across crash budgets 0–2 and across register-, snapshot-,
+// channel-, and Alg1/Alg2-based protocols. Plus edge cases: explore_until
+// early-stop determinism, max_steps abort, and BSR_EXPLORE_THREADS
+// resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +41,17 @@ std::uint64_t schedule_hash(const std::vector<Choice>& sched) {
   return h;
 }
 
+/// The schedule hash extended with every terminated process's decision:
+/// an engine that resumed a process with a stale frame would reach the
+/// same schedule with a different outcome.
+std::uint64_t execution_hash(const Sim& sim, const std::vector<Choice>& sched) {
+  std::uint64_t h = schedule_hash(sched);
+  for (Pid p = 0; p < sim.n(); ++p) {
+    if (sim.terminated(p)) h = (h ^ sim.decision(p).hash()) * 1099511628211ull;
+  }
+  return h;
+}
+
 struct Enumeration {
   long count = 0;
   std::vector<std::uint64_t> hashes;  // sorted: a multiset fingerprint
@@ -51,8 +63,8 @@ struct Enumeration {
 template <class Engine>
 Enumeration enumerate(const Engine& engine, const Explorer::Factory& make) {
   Enumeration e;
-  e.count = engine.explore(make, [&](Sim&, const std::vector<Choice>& sched) {
-    e.hashes.push_back(schedule_hash(sched));
+  e.count = engine.explore(make, [&](Sim& sim, const std::vector<Choice>& sched) {
+    e.hashes.push_back(execution_hash(sim, sched));
   });
   std::sort(e.hashes.begin(), e.hashes.end());
   EXPECT_EQ(static_cast<long>(e.hashes.size()), e.count);
@@ -120,6 +132,36 @@ std::unique_ptr<Sim> make_snapshot_sim() {
   return sim;
 }
 
+/// Two senders to one receiver that takes `recv(-1)`: process 0 sends 1
+/// then 2, process 1 sends 1, so two receive results can carry the same
+/// payload from different senders. The receiver decides on everything it
+/// received, and takes a third message only when the first came from
+/// process 1, so its next request depends on the sender too.
+std::unique_ptr<Sim> make_channel_sim() {
+  auto sim = std::make_unique<Sim>(3);
+  sim->spawn(0, [](Env& env) -> Proc {
+    co_await env.send(2, Value(1));
+    co_await env.send(2, Value(2));
+    co_return Value(0);
+  });
+  sim->spawn(1, [](Env& env) -> Proc {
+    co_await env.send(2, Value(1));
+    co_return Value(0);
+  });
+  sim->spawn(2, [](Env& env) -> Proc {
+    std::vector<Value> got;
+    int want = 2;
+    for (int i = 0; i < want; ++i) {
+      const OpResult m = co_await env.recv();
+      if (i == 0 && m.from == 1) want = 3;
+      got.emplace_back(static_cast<std::uint64_t>(m.from));
+      got.push_back(m.value);
+    }
+    co_return Value(std::move(got));
+  });
+  return sim;
+}
+
 TEST(ExploreEquivalence, PairProtocolAcrossCrashBudgets) {
   for (int crashes = 0; crashes <= 2; ++crashes) {
     ExploreOptions opts;
@@ -136,6 +178,16 @@ TEST(ExploreEquivalence, SnapshotProtocolAcrossCrashBudgets) {
     opts.max_steps = 100;
     SCOPED_TRACE("crashes=" + std::to_string(crashes));
     expect_all_engines_agree(make_snapshot_sim, opts);
+  }
+}
+
+TEST(ExploreEquivalence, ChannelProtocolAcrossCrashBudgets) {
+  for (int crashes = 0; crashes <= 2; ++crashes) {
+    ExploreOptions opts;
+    opts.max_crashes = crashes;
+    opts.max_steps = 100;
+    SCOPED_TRACE("crashes=" + std::to_string(crashes));
+    expect_all_engines_agree(make_channel_sim, opts);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -144,6 +145,14 @@ TEST(ExploreTT, FirstVisitClaimsEachHashOnce) {
   EXPECT_EQ(s.hits, 2);
   EXPECT_EQ(s.drops, 0);
   EXPECT_GE(s.slots * 8, std::size_t{1} << 16);
+}
+
+// Sizing divides the byte budget instead of multiplying the slot count: a
+// budget near SIZE_MAX once wrapped the product, then the count, to zero and
+// looped forever. It must fail at the allocation instead.
+TEST(ExploreTT, OversizedTableThrowsInsteadOfHanging) {
+  EXPECT_ANY_THROW(
+      TranspositionTable(std::numeric_limits<std::size_t>::max()));
 }
 
 TEST(ExploreTT, PrunesToDistinctFinalStatesOnPairRace) {

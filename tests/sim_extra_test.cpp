@@ -304,5 +304,147 @@ TEST(SimExtra, RewindRestoresMaxBitsWritten) {
   EXPECT_EQ(sim.register_info(r).writes, 2);
 }
 
+// The rewind contract: a rewound process keeps its live coroutine frame, and
+// a re-executed step either reuses it (same result) or rebuilds it through
+// the kept prefix (different result). Process 0 writes its own register,
+// reads process 1's register R, writes the value read plus 2, and decides
+// the value read; process 1 writes 1 into R. Process 0's body counts its
+// runs from the top (one per frame) and its resumes (one per step or
+// replayed result).
+struct Counts {
+  long runs = 0;
+  long resumes = 0;
+};
+
+std::unique_ptr<Sim> make_reader_sim(Counts* c, bool hashing = true) {
+  auto sim = std::make_unique<Sim>(2);
+  const int w = sim->add_register("W", 0, kUnbounded, Value());
+  const int r = sim->add_register("R", 1, 1, Value(0));
+  sim->set_checkpointing(true);
+  if (hashing) sim->set_state_hashing(true);
+  sim->spawn(0, [w, r, c](Env& env) -> Proc {
+    ++c->runs;
+    ++c->resumes;
+    co_await env.write(w, Value(1));
+    ++c->resumes;
+    const OpResult x = co_await env.read(r);
+    ++c->resumes;
+    co_await env.write(w, Value(x.value.as_u64() + 2));
+    ++c->resumes;
+    co_return x.value;
+  });
+  sim->spawn(1, [r](Env& env) -> Proc {
+    co_await env.write(r, Value(1));
+    co_return Value(0);
+  });
+  return sim;
+}
+
+void expect_same_process_state(const Sim& a, const Sim& b, Pid p) {
+  EXPECT_EQ(a.terminated(p), b.terminated(p));
+  EXPECT_EQ(a.steps(p), b.steps(p));
+  const OpRequest& x = a.pending_request(p);
+  const OpRequest& y = b.pending_request(p);
+  EXPECT_EQ(x.kind, y.kind);
+  EXPECT_EQ(x.reg, y.reg);
+  EXPECT_EQ(x.value, y.value);
+  if (a.terminated(p) && b.terminated(p)) {
+    EXPECT_EQ(a.decision(p), b.decision(p));
+  }
+}
+
+TEST(SimRewind, SameResultReusesTheFrameWithoutResuming) {
+  Counts c;
+  auto sim = make_reader_sim(&c);
+  sim->step(0);  // Start: runs to the first write
+  sim->step(0);  // write
+  sim->step(0);  // read R = 0
+  ASSERT_EQ(c.resumes, 3);
+  sim->rewind(1);
+  EXPECT_EQ(sim->pending_request(0).kind, OpKind::Read);
+  sim->step(0);  // the same read, the same result
+  EXPECT_EQ(c.runs, 1);
+  EXPECT_EQ(c.resumes, 3) << "the kept frame must not be resumed again";
+
+  Counts ref_counts;
+  auto ref = make_reader_sim(&ref_counts);
+  for (int i = 0; i < 3; ++i) ref->step(0);
+  expect_same_process_state(*sim, *ref, 0);
+  EXPECT_EQ(sim->state_hash(), ref->state_hash());
+
+  // The frame is back at the logical position: the next step resumes it.
+  sim->step(0);
+  ref->step(0);
+  EXPECT_EQ(c.resumes, 4);
+  expect_same_process_state(*sim, *ref, 0);
+  EXPECT_EQ(sim->decision(0), Value(0));
+  EXPECT_EQ(sim->state_hash(), ref->state_hash());
+}
+
+TEST(SimRewind, DifferentResultRebuildsOnceThroughTheKeptPrefix) {
+  Counts c;
+  auto sim = make_reader_sim(&c);
+  sim->step(0);
+  sim->step(0);
+  sim->step(0);  // read R = 0
+  sim->rewind(1);
+  EXPECT_EQ(c.runs, 1) << "rewind itself must not rebuild the coroutine";
+  EXPECT_EQ(c.resumes, 3);
+  sim->step(1);  // Start
+  sim->step(1);  // R := 1
+  sim->step(0);  // the re-executed read now returns 1
+  EXPECT_EQ(c.runs, 2) << "exactly one rebuild";
+  // The two kept results (Start and the first write) are replayed, then
+  // the frame is resumed once with the new result.
+  EXPECT_EQ(c.resumes, 3 + 2 + 1);
+  sim->step(0);  // write 3
+  EXPECT_EQ(sim->peek(0), Value(3));
+
+  Counts ref_counts;
+  auto ref = make_reader_sim(&ref_counts);
+  for (const Pid p : {0, 0, 1, 1, 0, 0}) ref->step(p);
+  expect_same_process_state(*sim, *ref, 0);
+  expect_same_process_state(*sim, *ref, 1);
+  EXPECT_EQ(sim->decision(0), Value(1));
+  EXPECT_EQ(sim->state_hash(), ref->state_hash());
+}
+
+TEST(SimRewind, RewoundTerminationRevivesAndRestepRestoresDecision) {
+  Counts c;
+  auto sim = make_reader_sim(&c);
+  for (int i = 0; i < 4; ++i) sim->step(0);
+  ASSERT_TRUE(sim->terminated(0));
+  sim->rewind(1);
+  EXPECT_TRUE(sim->alive(0));
+  EXPECT_FALSE(sim->terminated(0));
+  const OpRequest& pending = sim->pending_request(0);
+  EXPECT_EQ(pending.kind, OpKind::Write);
+  EXPECT_EQ(pending.reg, 0);
+  EXPECT_EQ(pending.value, Value(2));
+  sim->step(0);
+  ASSERT_TRUE(sim->terminated(0));
+  EXPECT_EQ(sim->decision(0), Value(0));
+  EXPECT_EQ(sim->peek(0), Value(2));
+}
+
+TEST(SimRewind, DisablingCheckpointingResyncsFramesLeftAhead) {
+  Counts c;
+  auto sim = make_reader_sim(&c, /*hashing=*/false);
+  sim->step(0);  // Start
+  sim->step(0);  // write 1
+  sim->step(0);  // read R = 0
+  sim->step(0);  // write 2
+  sim->rewind(2);  // back to before the read
+  sim->set_checkpointing(false);
+  for (const Pid p : {1, 1, 0, 0}) sim->step(p);  // R := 1, then read 1
+
+  Counts ref_counts;
+  auto ref = make_reader_sim(&ref_counts, /*hashing=*/false);
+  for (const Pid p : {0, 0, 1, 1, 0, 0}) ref->step(p);
+  expect_same_process_state(*sim, *ref, 0);
+  EXPECT_EQ(sim->peek(0), ref->peek(0));
+  EXPECT_EQ(sim->decision(0), Value(1));
+}
+
 }  // namespace
 }  // namespace bsr::sim
