@@ -37,6 +37,7 @@ bool send_all(int fd, const std::string& data) {
   while (off < data.size()) {
     const ssize_t n =
         ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }
@@ -236,10 +237,11 @@ std::string client_roundtrip(const std::string& socket_path,
   }
   std::string line = request;
   if (line.empty() || line.back() != '\n') line += '\n';
-  if (!send_all(fd, line)) {
-    ::close(fd);
-    throw UsageError("send(" + socket_path + ") failed");
-  }
+  // A daemon whose queue is full writes its `overloaded` envelope and
+  // closes without reading, so a send can fail with the refusal already in
+  // the receive buffer. Read a response either way; the failed send is the
+  // error only when none arrives.
+  const bool sent = send_all(fd, line);
   ::shutdown(fd, SHUT_WR);  // one request per connection from the CLI
   std::string resp;
   char chunk[4096];
@@ -251,8 +253,10 @@ std::string client_roundtrip(const std::string& socket_path,
   }
   ::close(fd);
   const std::size_t nl = resp.find('\n');
-  usage_check(nl != std::string::npos,
-              "daemon closed the connection without a response");
+  if (nl == std::string::npos) {
+    usage_check(sent, "send(" + socket_path + ") failed");
+    throw UsageError("daemon closed the connection without a response");
+  }
   return resp.substr(0, nl);
 }
 

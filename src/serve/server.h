@@ -42,8 +42,10 @@ struct ServerOptions {
 int run_server(const ServerOptions& opts, std::ostream& log);
 
 /// Client leg: connects to `socket_path`, sends `request` as one line, and
-/// returns the daemon's response line (without the trailing newline).
-/// Throws UsageError on connect/IO failure.
+/// returns the daemon's response line (without the trailing newline). A
+/// line the daemon wrote before hanging up (the `overloaded` refusal) is
+/// returned even when the send failed. Throws UsageError on connect/IO
+/// failure when no response line arrives.
 std::string client_roundtrip(const std::string& socket_path,
                              const std::string& request);
 

@@ -64,12 +64,20 @@ void add_sorted(std::vector<int>& v, int x) {
 
 }  // namespace
 
-analysis::itf::Footprint choice_footprint(const Sim& sim, const Choice& c) {
-  analysis::itf::Footprint fp;
-  fp.pid = c.pid;
+void choice_footprint(const Sim& sim, const Choice& c,
+                      analysis::itf::Footprint& fp) {
+  // Reset every field, keeping the register vectors' buffers.
+  std::vector<int> reads;
+  std::vector<int> writes;
+  reads.swap(fp.reads);
+  writes.swap(fp.writes);
+  reads.clear();
+  writes.clear();
+  fp = analysis::itf::Footprint{
+      .pid = c.pid, .reads = std::move(reads), .writes = std::move(writes)};
   if (c.kind == Choice::Kind::Crash) {
     fp.crash = true;
-    return fp;
+    return;
   }
   const OpRequest& req = sim.pending_request(c.pid);
   switch (req.kind) {
@@ -104,18 +112,19 @@ analysis::itf::Footprint choice_footprint(const Sim& sim, const Choice& c) {
   // order-sensitive. Blunt but sound; round-budgeted registry protocols
   // are sampled, never explored exhaustively.
   if (sim.max_rounds() >= 0) fp.may_violate = true;
-  return fp;
 }
 
 bool independent(const Sim& sim, const Choice& a, const Choice& b) {
-  return analysis::itf::classify(choice_footprint(sim, a),
-                                 choice_footprint(sim, b))
-      .independent;
+  analysis::itf::Footprint fa;
+  analysis::itf::Footprint fb;
+  choice_footprint(sim, a, fa);
+  choice_footprint(sim, b, fb);
+  return analysis::itf::classify(fa, fb).independent;
 }
 
-std::vector<Choice> legal_choices(const Sim& sim, int crashes_so_far,
-                                  const ExploreOptions& opts) {
-  std::vector<Choice> out;
+void legal_choices(const Sim& sim, int crashes_so_far,
+                   const ExploreOptions& opts, std::vector<Choice>& out) {
+  out.clear();
   for (Pid p = 0; p < sim.n(); ++p) {
     if (!sim.enabled(p)) continue;
     const std::vector<Pid> sources = sim.recv_choices(p);
@@ -132,7 +141,6 @@ std::vector<Choice> legal_choices(const Sim& sim, int crashes_so_far,
       if (sim.alive(p)) out.push_back(Choice{Choice::Kind::Crash, p, -1});
     }
   }
-  return out;
 }
 
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
@@ -145,17 +153,27 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
               "Sim::set_state_hashing");
 
   struct Frame {
-    std::vector<Choice> cs;  ///< Choices at this depth.
-    std::size_t next;        ///< Next untried index.
-    int crashes_before;      ///< cursor.crashes before any choice here.
-    long steps_before;       ///< cursor.steps before any choice here.
+    std::vector<Choice> cs;   ///< Choices at this depth.
+    std::size_t next = 0;     ///< Next untried index.
+    int crashes_before = 0;   ///< cursor.crashes before any choice here.
+    long steps_before = 0;    ///< cursor.steps before any choice here.
     /// POR: this node's sleep set — choices whose subtrees are owned by
-    /// sibling branches. Seeded from the parent when the frame is pushed;
+    /// sibling branches. Seeded from the parent when the frame is entered;
     /// grows by each completed (or table-pruned) child.
     std::vector<Choice> sleep;
   };
-  std::vector<Frame> stack;
+  // frames[0, depth) is the current path. A frame outlives its depth: when
+  // the search backs out of it, it keeps its vectors, and the next node at
+  // that depth refills them in place, so the search allocates only while
+  // it reaches depths and widths it has not reached before.
+  std::vector<Frame> frames;
+  std::size_t depth = 0;
   std::vector<std::size_t> idx;  // chosen index per depth since the root
+  // POR scratch, reused by every advance: the child's sleep set under
+  // construction, and the footprints of the candidate and of one sleeper.
+  std::vector<Choice> child_sleep;
+  analysis::itf::Footprint cand_fp;
+  analysis::itf::Footprint peer_fp;
   long visited = 0;
 
   const auto asleep = [](const Frame& f, const Choice& c) {
@@ -176,7 +194,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
       const Choice& c = f.cs[f.next];
       idx.back() = f.next;
       f.next += 1;
-      std::vector<Choice> child_sleep;
+      child_sleep.clear();
       if (opts.por) {
         if (asleep(f, c)) continue;
         // The child inherits every sleeping choice that commutes with `c`:
@@ -184,8 +202,14 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
         // enabledness), its pending op is unchanged (same-pid pairs are
         // never independent), and its subtree still commutes into the
         // sibling branch that owns it.
-        for (const Choice& d : f.sleep) {
-          if (independent(sim, d, c)) child_sleep.push_back(d);
+        if (!f.sleep.empty()) {
+          choice_footprint(sim, c, cand_fp);
+          for (const Choice& d : f.sleep) {
+            choice_footprint(sim, d, peer_fp);
+            if (analysis::itf::classify(peer_fp, cand_fp).independent) {
+              child_sleep.push_back(d);
+            }
+          }
         }
       }
       if (c.kind == Choice::Kind::Step) {
@@ -216,7 +240,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
           continue;
         }
       }
-      if (opts.por) cursor.sleep = std::move(child_sleep);
+      if (opts.por) cursor.sleep.swap(child_sleep);
       return true;
     }
     return false;
@@ -228,18 +252,25 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     // whose children prune is no leaf — its subtree's leaves were all
     // visited earlier — so fall through to backtracking without counting.
     bool at_leaf = true;
-    while (depth_limit < 0 || static_cast<long>(stack.size()) < depth_limit) {
-      std::vector<Choice> cs = legal_choices(sim, cursor.crashes, opts);
-      if (cs.empty()) break;
+    while (depth_limit < 0 || static_cast<long>(depth) < depth_limit) {
+      if (depth == frames.size()) frames.emplace_back();
+      Frame& f = frames[depth];
+      legal_choices(sim, cursor.crashes, opts, f.cs);
+      if (f.cs.empty()) break;
       usage_check(cursor.steps < opts.max_steps,
                   "Explorer: execution exceeded max_steps; "
                   "protocol may not terminate");
-      stack.push_back(Frame{std::move(cs), 0, cursor.crashes, cursor.steps,
-                            std::move(cursor.sleep)});
-      cursor.sleep.clear();  // defined state after the move
+      f.next = 0;
+      f.crashes_before = cursor.crashes;
+      f.steps_before = cursor.steps;
+      // The node's sleep set moves into the frame; the cursor keeps the
+      // frame's old buffer, emptied.
+      f.sleep.swap(cursor.sleep);
+      cursor.sleep.clear();
+      ++depth;
       idx.push_back(0);
-      if (!advance(stack.back())) {
-        stack.pop_back();
+      if (!advance(f)) {
+        --depth;
         idx.pop_back();
         at_leaf = false;
         break;
@@ -254,19 +285,19 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     // Backtrack: the deepest frame with an untried sibling that survives
     // the table probe.
     while (true) {
-      std::size_t t = stack.size();
-      while (t > 0 && stack[t - 1].next >= stack[t - 1].cs.size()) --t;
+      std::size_t t = depth;
+      while (t > 0 && frames[t - 1].next >= frames[t - 1].cs.size()) --t;
       if (t == 0) return visited;
 
       // Rewind the world from the current depth to that frame's state, then
       // take the sibling. This is the incremental-backtracking core: only
       // the undone suffix is paid for, never the whole prefix.
-      const std::size_t base = cursor.schedule.size() - stack.size();
+      const std::size_t base = cursor.schedule.size() - depth;
       sim.rewind(cursor.schedule.size() - (base + t - 1));
       cursor.schedule.resize(base + t - 1);
-      stack.resize(t);
+      depth = t;
       idx.resize(t);
-      Frame& f = stack.back();
+      Frame& f = frames[t - 1];
       cursor.crashes = f.crashes_before;
       cursor.steps = f.steps_before;
       // The child just backed out of is fully explored: later siblings may
@@ -275,7 +306,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
       // discipline — siblings inherit completed siblings).
       if (opts.por) f.sleep.push_back(f.cs[idx[t - 1]]);
       if (advance(f)) break;
-      stack.pop_back();
+      --depth;
       idx.pop_back();
     }
   }
@@ -335,6 +366,7 @@ long ReplayExplorer::explore_until(const Factory& make,
                                    const StoppingVisitor& visit) const {
   std::vector<std::size_t> path;    // chosen index at each depth
   std::vector<std::size_t> widths;  // number of choices at each depth
+  std::vector<Choice> cs;           // choices at the current depth
   long visited = 0;
 
   while (true) {
@@ -357,8 +389,7 @@ long ReplayExplorer::explore_until(const Factory& make,
 
     // Replay the committed prefix.
     for (std::size_t depth = 0; depth < path.size(); ++depth) {
-      const std::vector<Choice> cs =
-          detail::legal_choices(*sim, crashes, opts_);
+      detail::legal_choices(*sim, crashes, opts_, cs);
       usage_check(path[depth] < cs.size(),
                   "Explorer: nondeterministic factory (choice set changed)");
       apply(cs[path[depth]]);
@@ -366,8 +397,7 @@ long ReplayExplorer::explore_until(const Factory& make,
 
     // Extend greedily with first choices until no process is enabled.
     while (true) {
-      const std::vector<Choice> cs =
-          detail::legal_choices(*sim, crashes, opts_);
+      detail::legal_choices(*sim, crashes, opts_, cs);
       if (cs.empty()) break;
       usage_check(steps < opts_.max_steps,
                   "Explorer: execution exceeded max_steps; "

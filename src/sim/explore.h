@@ -141,12 +141,13 @@ class ReplayExplorer {
 
 namespace detail {
 
-/// The scheduling choices available in the Sim's current state, in canonical
-/// order: Step choices by pid (with Recv-sender sub-choices in sender order),
-/// then Crash choices by pid while the crash budget allows.
-[[nodiscard]] std::vector<Choice> legal_choices(const Sim& sim,
-                                                int crashes_so_far,
-                                                const ExploreOptions& opts);
+/// Replaces `out` with the scheduling choices available in the Sim's
+/// current state, in canonical order: Step choices by pid (with Recv-sender
+/// sub-choices in sender order), then Crash choices by pid while the crash
+/// budget allows. Filling a caller-owned buffer lets a search reuse one
+/// vector per depth instead of allocating one per node.
+void legal_choices(const Sim& sim, int crashes_so_far,
+                   const ExploreOptions& opts, std::vector<Choice>& out);
 
 /// Mutable cursor of an in-progress incremental DFS: the schedule applied so
 /// far (including any pre-applied prefix) and derived counters.
@@ -160,13 +161,16 @@ struct DfsCursor {
   std::vector<Choice> sleep;
 };
 
-/// The shared-state footprint of one scheduling choice in the Sim's
-/// *current* state, built from the pending OpRequest (crash choices have a
-/// crash-only footprint). Mirrors the simulator's own violation checks
-/// (do_write, topology) so `may_violate` is exact for the pending op; a
-/// declared round budget conservatively marks every Step may-violate.
-[[nodiscard]] analysis::itf::Footprint choice_footprint(const Sim& sim,
-                                                        const Choice& c);
+/// Overwrites `fp` with the shared-state footprint of one scheduling choice
+/// in the Sim's *current* state, built from the pending OpRequest (crash
+/// choices have a crash-only footprint). Mirrors the simulator's own
+/// violation checks (do_write, topology) so `may_violate` is exact for the
+/// pending op; a declared round budget conservatively marks every Step
+/// may-violate. Every field is reset; the register vectors keep their
+/// capacity, so a caller-owned footprint is built without allocating once
+/// it has grown to the protocol's widest op.
+void choice_footprint(const Sim& sim, const Choice& c,
+                      analysis::itf::Footprint& fp);
 
 /// Whether `a` and `b` commute in the Sim's current state, per the shared
 /// decision procedure analysis::itf::classify over pending-op footprints.

@@ -162,9 +162,9 @@ long ParallelExplorer::explore_until(const Factory& make,
     detail::DfsCursor cursor;
     // Replay the job's prefix, revalidating each choice index against the
     // fresh Sim: a factory that does not rebuild the same world is a bug.
+    std::vector<Choice> cs;
     for (std::size_t d = 0; d < job.idx.size(); ++d) {
-      const std::vector<Choice> cs =
-          detail::legal_choices(*sim, cursor.crashes, opts_);
+      detail::legal_choices(*sim, cursor.crashes, opts_, cs);
       usage_check(job.idx[d] < cs.size() && cs[job.idx[d]] == job.choices[d],
                   "Explorer: nondeterministic factory (choice set changed)");
       const Choice& c = cs[job.idx[d]];

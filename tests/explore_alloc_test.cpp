@@ -1,0 +1,84 @@
+// The explorer's per-node bookkeeping stays off the heap.
+//
+// A search node should cost its Sim::step: the DFS keeps its frames, choice
+// lists, sleep sets and POR footprints in buffers that outlive the node, so
+// once the search has reached its deepest and widest nodes it allocates
+// only for what the protocol itself builds (composite Values, rebuilt
+// coroutine frames). This binary replaces the global operator new with a
+// counting one and bounds the allocations of one serial exploration of the
+// full-information protocol (Algorithm 3) with the transposition table and
+// sleep-set POR, the configuration that exercises every reused buffer.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "core/sec7.h"
+#include "sim/explore.h"
+#include "sim/sim.h"
+#include "sim/tt.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<long> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// Kept out of line: inlined into a caller, `free` on a pointer from
+// `operator new` reads as a mismatched pair to -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+
+namespace bsr::sim {
+namespace {
+
+TEST(ExploreAlloc, FullInformationSearchAllocatesLessThanOncePerFourNodes) {
+  auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
+  ExploreOptions opts;
+  opts.max_steps = 1000;
+  opts.max_crashes = 1;
+  opts.threads = 1;  // the serial engine, whatever BSR_EXPLORE_THREADS says
+  opts.tt = tt;
+  opts.por = true;
+  const Explorer explorer(opts);
+  const Explorer::Factory make = [] {
+    auto sim = std::make_unique<Sim>(3);
+    core::install_full_info_ic(*sim, 2, {Value(0), Value(1), Value(2)});
+    return sim;
+  };
+  const Explorer::Visitor visit = [](Sim&, const std::vector<Choice>&) {};
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const long finals = explorer.explore(make, visit);
+  g_counting.store(false, std::memory_order_relaxed);
+  const long allocations = g_allocations.load(std::memory_order_relaxed);
+
+  const TranspositionTable::Stats s = tt->stats();
+  ASSERT_EQ(s.drops, 0) << "probe window overflowed; grow the table";
+  EXPECT_GT(finals, 0);
+  // Every applied choice probes the table once, plus the root.
+  const long nodes = s.probes - 1;
+  ASSERT_GT(nodes, 10'000) << "the search is too small to measure";
+  EXPECT_LT(allocations * 4, nodes)
+      << allocations << " allocations over " << nodes << " nodes ("
+      << finals << " finals)";
+}
+
+}  // namespace
+}  // namespace bsr::sim

@@ -147,6 +147,55 @@ TEST(ExploreTT, FirstVisitClaimsEachHashOnce) {
   EXPECT_GE(s.slots * 8, std::size_t{1} << 16);
 }
 
+// `seen` answers from the home summary when no published hash starts its
+// probe window at the queried hash's home slot, and walks the window
+// otherwise. Hashes are built as (tag << 10) | home so each lands on a
+// chosen home slot of the minimum-size table.
+TEST(ExploreTT, SeenFindsEveryPublishedHashAcrossCollisions) {
+  TranspositionTable tt(0);  // the minimum: 1024 slots
+  ASSERT_EQ(tt.capacity(), 1024u);
+  const auto at = [](std::uint64_t home, std::uint64_t tag) {
+    return (tag << 10) | home;
+  };
+  std::vector<std::uint64_t> published;
+  // Four hashes sharing home 5 spill into slots 6..8; three with home 1023
+  // wrap to slots 0 and 1; sixteen with home 100 fill the whole probe
+  // window, 100..115.
+  for (std::uint64_t tag = 1; tag <= 4; ++tag) published.push_back(at(5, tag));
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+    published.push_back(at(1023, tag));
+  }
+  for (std::uint64_t tag = 1; tag <= 16; ++tag) {
+    published.push_back(at(100, tag));
+  }
+
+  // Before publishing: absent, and looking does not insert.
+  EXPECT_FALSE(tt.seen(published.front()));
+  EXPECT_FALSE(tt.seen(0));
+  for (const std::uint64_t h : published) ASSERT_TRUE(tt.first_visit(h)) << h;
+  ASSERT_TRUE(tt.first_visit(0));  // the zero hash, remapped to a sentinel
+
+  for (const std::uint64_t h : published) EXPECT_TRUE(tt.seen(h)) << h;
+  EXPECT_TRUE(tt.seen(0));
+
+  // Unpublished hashes whose home bit a published neighbour set: the walk
+  // stops at the first empty slot (9, 2) or at the end of a full window.
+  EXPECT_FALSE(tt.seen(at(5, 99)));
+  EXPECT_FALSE(tt.seen(at(1023, 99)));
+  EXPECT_FALSE(tt.seen(at(100, 99)));
+  // Occupied slots whose home bit is clear: slot 6 holds a spill from home
+  // 5 and slot 0 a wrap from home 1023, but no published hash starts there.
+  EXPECT_FALSE(tt.seen(at(6, 99)));
+  EXPECT_FALSE(tt.seen(at(0, 99)));
+
+  const TranspositionTable::Stats s = tt.stats();
+  const long n = static_cast<long>(published.size());
+  EXPECT_EQ(s.probes, 2 + (n + 1) + (n + 1) + 5);
+  EXPECT_EQ(s.hits, n + 1);
+  EXPECT_EQ(s.stores, n + 1);
+  EXPECT_EQ(s.drops, 0);
+}
+
 // Sizing divides the byte budget instead of multiplying the slot count: a
 // budget near SIZE_MAX once wrapped the product, then the count, to zero and
 // looped forever. It must fail at the allocation instead.
@@ -217,7 +266,10 @@ TEST(ExploreTT, SharedTableMemoizesWholeRepeatedSearches) {
 }
 
 // Raw concurrency stress: many threads race first_visit over overlapping
-// value streams; exactly one thread must win each distinct value. Run under
+// value streams; exactly one thread must win each distinct value. Between
+// claims each thread also asks `seen` about a value nobody publishes, racing
+// the home-summary reads against other threads' publishes; those must all
+// miss, and after the join `seen` must find every claimed value. Run under
 // TSan in CI (the suite name matches the Explore filter there).
 TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   constexpr int kThreads = 8;
@@ -225,20 +277,25 @@ TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   TranspositionTable tt(std::size_t{4} << 20);  // ~26x headroom: no drops
   std::vector<std::atomic<int>> wins(kValues);
   for (auto& w : wins) w.store(0, std::memory_order_relaxed);
+  std::atomic<long> phantom_hits{0};
   {
     std::vector<std::jthread> pool;
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&tt, &wins, t] {
+      pool.emplace_back([&tt, &wins, &phantom_hits, t] {
         // Each thread walks the values from a different offset so the
         // races spread over the whole table.
         for (std::uint64_t i = 0; i < kValues; ++i) {
           const std::uint64_t v =
               (i + static_cast<std::uint64_t>(t) * (kValues / kThreads)) %
               kValues;
-          // Mix so consecutive values do not probe adjacent slots.
+          // Mix so consecutive values do not probe adjacent slots; `mix` is
+          // a bijection, so v + 1 + kValues is never claimed.
           if (tt.first_visit(zobrist::mix(v + 1))) {
             wins[v].fetch_add(1, std::memory_order_relaxed);
+          }
+          if (tt.seen(zobrist::mix(v + 1 + kValues))) {
+            phantom_hits.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });
@@ -246,9 +303,13 @@ TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   }
   ASSERT_EQ(tt.stats().drops, 0);
   EXPECT_EQ(tt.stats().stores, static_cast<long>(kValues));
+  EXPECT_EQ(phantom_hits.load(), 0);
   for (std::uint64_t v = 0; v < kValues; ++v) {
     ASSERT_EQ(wins[v].load(), 1) << "value " << v;
+    ASSERT_TRUE(tt.seen(zobrist::mix(v + 1))) << "value " << v;
   }
+  // Every claim but the winning one hit, as did every seen after the join.
+  EXPECT_EQ(tt.stats().hits, static_cast<long>(kThreads * kValues));
 }
 
 }  // namespace

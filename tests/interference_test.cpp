@@ -280,9 +280,9 @@ long commutation_walk(const ProtocolSpec& spec, std::uint64_t seed) {
   sim::ExploreOptions opts = spec.explore;
   int crashes = 0;
   long swaps = 0;
+  std::vector<sim::Choice> cs;
   for (int pos = 0; pos < 60; ++pos) {
-    const std::vector<sim::Choice> cs =
-        sim::detail::legal_choices(*sim, crashes, opts);
+    sim::detail::legal_choices(*sim, crashes, opts, cs);
     if (cs.empty()) break;
 
     // Check every independent pair available here (both orders).

@@ -6,6 +6,7 @@
 // and the socket-path claim that replaces only a stale socket.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <sys/socket.h>
@@ -147,16 +148,21 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   Daemon daemon(opts);
 
   // Occupy the single worker, then the single queue slot, with sleep
-  // requests (the dispatch table's test aid for exactly this path).
-  std::thread busy([&] {
-    (void)serve::client_roundtrip(daemon.socket(),
-                                  R"({"mode":"sleep","ms":1200})");
-  });
+  // requests (the dispatch table's test aid for exactly this path). The
+  // sleepers are jthreads that catch their own errors, so a failure on any
+  // path is reported after both are joined instead of aborting the binary.
+  const auto sleeper = [&daemon](const char* request) {
+    return std::jthread([&daemon, request] {
+      try {
+        (void)serve::client_roundtrip(daemon.socket(), request);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << request << ": " << e.what();
+      }
+    });
+  };
+  const std::jthread busy = sleeper(R"({"mode":"sleep","ms":1200})");
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  std::thread queued([&] {
-    (void)serve::client_roundtrip(daemon.socket(),
-                                  R"({"mode":"sleep","ms":10})");
-  });
+  const std::jthread queued = sleeper(R"({"mode":"sleep","ms":10})");
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   // Worker busy, queue full: the acceptor must refuse with a structured
@@ -169,9 +175,51 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   EXPECT_FALSE(r.bool_or("ok", true)) << refusal;
   EXPECT_EQ(r.str_or("error", ""), "overloaded");
   EXPECT_LT(std::chrono::duration<double>(waited).count(), 1.0);
+}
 
-  busy.join();
-  queued.join();
+// The refusal path writes its envelope and closes without reading the
+// request. A request larger than the socket buffer cannot be sent in full,
+// so the client's send fails, with the refusal already waiting in its
+// receive buffer: the client must return that line, not report the send.
+// A stand-in listener plays the daemon, so the race is decided every time.
+TEST(ServeSocket, RefusalClosingUnreadStillReachesTheClient) {
+  const std::string path = scratch_socket("refuse_unread");
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(listener, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  const std::string big = R"({"mode":"stats","pad":")" +
+                          std::string(8 * static_cast<std::size_t>(sndbuf) +
+                                          (std::size_t{1} << 20),
+                                      'x') +
+                          "\"}";
+  const std::string refusal =
+      R"({"ok":false,"error":"overloaded","message":"request queue full; retry later"})";
+  std::jthread stand_in([listener, &refusal] {
+    pollfd pfd{listener, POLLIN, 0};
+    if (::poll(&pfd, 1, /*timeout_ms=*/10'000) <= 0) return;
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string line = refusal + "\n";
+    (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  std::string got;
+  EXPECT_NO_THROW(got = serve::client_roundtrip(path, big));
+  EXPECT_EQ(got, refusal);
+  stand_in.join();
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 TEST(ServeSocket, DeepNestingIsRefusedAndTheDaemonSurvives) {

@@ -51,6 +51,7 @@ void walk_and_check(Sim& sim, const ExploreOptions& opts, std::uint64_t seed,
   Rng rng(seed);
   int crashes = 0;
   std::vector<int> crashes_at{0};  // crash count per history size
+  std::vector<Choice> cs;
   for (int a = 0; a < actions; ++a) {
     const bool can_rewind = sim.history_size() > 0;
     if (can_rewind && rng.chance(1, 4)) {
@@ -60,8 +61,7 @@ void walk_and_check(Sim& sim, const ExploreOptions& opts, std::uint64_t seed,
       crashes_at.resize(crashes_at.size() - k);
       crashes = crashes_at.back();
     } else {
-      const std::vector<Choice> cs =
-          detail::legal_choices(sim, crashes, opts);
+      detail::legal_choices(sim, crashes, opts, cs);
       if (cs.empty()) {
         if (!can_rewind) break;
         const std::size_t k = 1 + rng.below(sim.history_size());
