@@ -3,8 +3,8 @@
 // verification suite.
 //
 // Three engines are compared on the identical choice tree:
-//   * replay      — the original rebuild-and-replay DFS (ReplayExplorer),
-//                   the pre-optimization baseline;
+//   * replay      — the rebuild-and-replay DFS (ReplayExplorer, the tests'
+//                   oracle), the pre-optimization baseline;
 //   * incremental — the serial incremental-backtracking engine (Explorer,
 //                   threads=1);
 //   * parallel/T  — the frontier-partitioned work-stealing engine at
@@ -24,6 +24,7 @@
 #include "core/alg2.h"
 #include "sim/explore.h"
 #include "sim/explore_parallel.h"
+#include "support/replay_explorer.h"
 #include "tasks/approx.h"
 
 namespace {
@@ -95,10 +96,8 @@ int print_scaling_table() {
                       }));
   }
   for (int threads : {2, 4, 8}) {
-    sim::ExploreOptions o = w.opts;
-    o.concurrent_visitor = true;  // the counting visitor is stateless
     rows.emplace_back("parallel x" + std::to_string(threads), timed([&] {
-                        return sim::ParallelExplorer(o, threads)
+                        return sim::ParallelExplorer(w.opts, threads)
                             .explore(make, count_only);
                       }));
   }
@@ -136,7 +135,6 @@ void BM_ExploreAlg2(benchmark::State& state) {
     } else {
       sim::ExploreOptions o = w.opts;
       o.threads = threads;
-      o.concurrent_visitor = true;
       execs = sim::Explorer(o).explore(
           make, [](sim::Sim&, const std::vector<sim::Choice>&) {});
     }

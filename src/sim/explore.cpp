@@ -143,6 +143,19 @@ void legal_choices(const Sim& sim, int crashes_so_far,
   }
 }
 
+std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
+                               const ExploreOptions& opts) {
+  std::unique_ptr<Sim> sim = make();
+  usage_check(sim != nullptr, "Explorer: factory returned null");
+  usage_check(sim->total_steps() == 0,
+              "Explorer: factory returned a Sim that has already stepped; "
+              "spawn its processes without stepping them (the explorer "
+              "schedules every step, Start steps included)");
+  sim->set_checkpointing(true);
+  if (opts.tt != nullptr) sim->set_state_hashing(true);
+  return sim;
+}
+
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
                      DfsCursor& cursor, const DfsLeafFn& leaf) {
   usage_check(sim.checkpointing(),
@@ -332,92 +345,17 @@ long Explorer::explore_until(const Factory& make,
 
 long Explorer::explore_serial(const Factory& make,
                               const StoppingVisitor& visit) const {
-  std::unique_ptr<Sim> sim = make();
-  usage_check(sim != nullptr, "Explorer: factory returned null");
-  if (sim->total_steps() > 0) {
-    // The factory pre-stepped the Sim, so its coroutines cannot be rebuilt
-    // from recorded results alone; explore by rebuild-and-replay instead.
-    return ReplayExplorer(opts_).explore_until(make, visit);
-  }
-  sim->set_checkpointing(true);
-  if (opts_.tt != nullptr) {
-    sim->set_state_hashing(true);
-    // Publish the root state too, so a table shared across explore calls
-    // memoizes whole repeated searches.
-    if (!opts_.tt->first_visit(sim->state_hash())) return 0;
+  std::unique_ptr<Sim> sim = detail::fresh_sim(make, opts_);
+  // Publish the root state too, so a table shared across explore calls
+  // memoizes whole repeated searches.
+  if (opts_.tt != nullptr && !opts_.tt->first_visit(sim->state_hash())) {
+    return 0;
   }
   detail::DfsCursor cursor;
   return detail::incremental_dfs(
       *sim, opts_, -1, cursor,
       [&](Sim& s, const std::vector<Choice>& schedule,
           const std::vector<std::size_t>&) { return visit(s, schedule); });
-}
-
-// --- ReplayExplorer: the original rebuild-and-replay DFS -------------------
-
-long ReplayExplorer::explore(const Factory& make, const Visitor& visit) const {
-  return explore_until(make, [&](Sim& sim, const std::vector<Choice>& sched) {
-    visit(sim, sched);
-    return false;
-  });
-}
-
-long ReplayExplorer::explore_until(const Factory& make,
-                                   const StoppingVisitor& visit) const {
-  std::vector<std::size_t> path;    // chosen index at each depth
-  std::vector<std::size_t> widths;  // number of choices at each depth
-  std::vector<Choice> cs;           // choices at the current depth
-  long visited = 0;
-
-  while (true) {
-    std::unique_ptr<Sim> sim = make();
-    usage_check(sim != nullptr, "Explorer: factory returned null");
-    std::vector<Choice> schedule;
-    int crashes = 0;
-    long steps = 0;
-
-    const auto apply = [&](const Choice& c) {
-      if (c.kind == Choice::Kind::Step) {
-        sim->step(c.pid, c.recv_from);
-        ++steps;
-      } else {
-        sim->crash(c.pid);
-        ++crashes;
-      }
-      schedule.push_back(c);
-    };
-
-    // Replay the committed prefix.
-    for (std::size_t depth = 0; depth < path.size(); ++depth) {
-      detail::legal_choices(*sim, crashes, opts_, cs);
-      usage_check(path[depth] < cs.size(),
-                  "Explorer: nondeterministic factory (choice set changed)");
-      apply(cs[path[depth]]);
-    }
-
-    // Extend greedily with first choices until no process is enabled.
-    while (true) {
-      detail::legal_choices(*sim, crashes, opts_, cs);
-      if (cs.empty()) break;
-      usage_check(steps < opts_.max_steps,
-                  "Explorer: execution exceeded max_steps; "
-                  "protocol may not terminate");
-      path.push_back(0);
-      widths.push_back(cs.size());
-      apply(cs[0]);
-    }
-
-    ++visited;
-    if (visit(*sim, schedule)) return visited;
-
-    // Backtrack to the deepest depth with an unexplored alternative.
-    while (!path.empty() && path.back() + 1 >= widths.back()) {
-      path.pop_back();
-      widths.pop_back();
-    }
-    if (path.empty()) return visited;
-    ++path.back();
-  }
 }
 
 }  // namespace bsr::sim

@@ -9,23 +9,16 @@
 // execution, which is how we validate Lemmas 5.1–5.6 and the snapshot
 // properties of §7.
 //
-// Two engines share the same API and visit executions in the same canonical
-// order:
-//
-//  * `Explorer` — the default engine. It keeps ONE live Sim per search and
-//    backtracks incrementally: the Sim records an undo log (see
-//    Sim::set_checkpointing), so taking a sibling branch rewinds the world
-//    to the divergence point instead of rebuilding the Sim and replaying
-//    the whole choice prefix. With `threads` > 1 (or BSR_EXPLORE_THREADS
-//    set), it partitions the choice tree at a frontier depth and explores
-//    the subtrees on a work-stealing thread pool (see explore_parallel.h);
-//    execution counts and `explore_until` early-stop results stay
-//    bit-identical to the serial search.
-//
-//  * `ReplayExplorer` — the original rebuild-and-replay DFS, kept as a
-//    differential-testing oracle and as the baseline for the
-//    bench_explore_scaling speedup measurements. O(depth) replay work per
-//    visited execution; single-threaded.
+// `Explorer` keeps ONE live Sim per search and backtracks incrementally:
+// the Sim records an undo log (see Sim::set_checkpointing), so taking a
+// sibling branch rewinds the world to the divergence point instead of
+// rebuilding the Sim and replaying the whole choice prefix. That is why a
+// factory must hand over a Sim that has not stepped yet. With `threads` > 1
+// (or BSR_EXPLORE_THREADS set), it partitions the choice tree at a frontier
+// depth and explores the subtrees on a work-stealing thread pool (see
+// explore_parallel.h); execution counts and `explore_until` early-stop
+// results stay bit-identical to the serial search. The test suites check
+// it against a rebuild-and-replay oracle (tests/support/replay_explorer.h).
 #pragma once
 
 #include <functional>
@@ -51,12 +44,8 @@ struct ExploreOptions {
   int max_crashes = 0;
   /// Worker threads. 1 = serial; 0 = resolve from BSR_EXPLORE_THREADS
   /// (unset ⇒ 1, "0" or "auto" ⇒ hardware concurrency). Values > 1 run the
-  /// parallel engine.
+  /// parallel engine, which serializes visitor calls through a mutex.
   int threads = 0;
-  /// Parallel engine: by default visitor calls are serialized through a
-  /// mutex so non-thread-safe visitors keep working. Set true only if the
-  /// visitor is itself thread-safe (e.g. bumps atomics).
-  bool concurrent_visitor = false;
   /// State-space memoization: when set, the engine maintains a Zobrist hash
   /// of the world (Sim::set_state_hashing) and prunes any search-tree node
   /// whose state — registers, coroutine histories, channels, crashes, AND
@@ -69,8 +58,7 @@ struct ExploreOptions {
   /// unpruned search as long as the table reports no drops. `explore_until`
   /// early stops remain correct but may leave memoized-but-unfinished
   /// states in a shared table, so reuse the table across calls only with
-  /// plain `explore`. Ignored by ReplayExplorer (the differential oracle)
-  /// and by factories that pre-step the Sim.
+  /// plain `explore`.
   std::shared_ptr<TranspositionTable> tt;
   /// Sleep-set partial-order reduction (off by default). At each search
   /// node the engine skips any choice provably independent — via the
@@ -86,8 +74,7 @@ struct ExploreOptions {
   /// table only when visited under an empty sleep set (a non-empty-sleep
   /// visit explores the subtree only partially, so it probes without
   /// inserting), which keeps the memoized count equal to the number of
-  /// distinct final configurations. Ignored by ReplayExplorer (the
-  /// differential oracle).
+  /// distinct final configurations.
   bool por = false;
 };
 
@@ -98,8 +85,10 @@ struct ExploreOptions {
 
 class Explorer {
  public:
-  /// Builds a fresh, fully-spawned Sim. Called once per serial search and
-  /// once per parallel subtree job; must be deterministic.
+  /// Builds a fresh, fully-spawned Sim that has not stepped yet (the
+  /// explorer schedules every step, Start steps included; a stepped Sim is
+  /// a UsageError). Called once per serial search and once per parallel
+  /// subtree job; must be deterministic.
   using Factory = std::function<std::unique_ptr<Sim>()>;
   /// Called on every complete execution (a state with no enabled process),
   /// with the final Sim and the schedule that produced it.
@@ -118,24 +107,6 @@ class Explorer {
  private:
   long explore_serial(const Factory& make, const StoppingVisitor& visit) const;
 
-  ExploreOptions opts_;
-};
-
-/// The original explorer: rebuilds the Sim and replays the whole choice
-/// prefix for every branch. Kept as a slow-but-simple oracle. Honors only
-/// `max_steps` and `max_crashes`.
-class ReplayExplorer {
- public:
-  using Factory = Explorer::Factory;
-  using Visitor = Explorer::Visitor;
-  using StoppingVisitor = Explorer::StoppingVisitor;
-
-  explicit ReplayExplorer(ExploreOptions opts) : opts_(opts) {}
-
-  long explore(const Factory& make, const Visitor& visit) const;
-  long explore_until(const Factory& make, const StoppingVisitor& visit) const;
-
- private:
   ExploreOptions opts_;
 };
 
@@ -176,6 +147,12 @@ void choice_footprint(const Sim& sim, const Choice& c,
 /// decision procedure analysis::itf::classify over pending-op footprints.
 [[nodiscard]] bool independent(const Sim& sim, const Choice& a,
                                const Choice& b);
+
+/// Calls the factory and readies its Sim for an incremental search: the Sim
+/// must be non-null and unstepped (UsageError otherwise); checkpointing is
+/// turned on, and state hashing too when `opts.tt` is set.
+[[nodiscard]] std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
+                                             const ExploreOptions& opts);
 
 /// Leaf callback of `incremental_dfs`: receives the Sim in the leaf state,
 /// the full schedule, and the per-depth choice indices taken since the DFS

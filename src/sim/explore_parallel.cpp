@@ -91,20 +91,12 @@ long ParallelExplorer::explore(const Factory& make, const Visitor& visit) const 
 long ParallelExplorer::explore_until(const Factory& make,
                                      const StoppingVisitor& visit) const {
   // --- Phase 1: partition the choice tree at the frontier depth. ----------
-  std::unique_ptr<Sim> root = make();
-  usage_check(root != nullptr, "Explorer: factory returned null");
-  if (root->total_steps() > 0) {
-    // Factories that pre-step the Sim are incompatible with incremental
-    // backtracking (see Explorer::explore_serial); keep them correct by
-    // delegating to the serial replay engine.
-    return ReplayExplorer(opts_).explore_until(make, visit);
-  }
-  root->set_checkpointing(true);
   // Frontier enumeration must see every prefix: partitioning through the
   // shared transposition table would prune frontier nodes whose subtrees
   // the workers still have to own, so phase 1 runs memoization-free.
   ExploreOptions frontier_opts = opts_;
   frontier_opts.tt.reset();
+  std::unique_ptr<Sim> root = detail::fresh_sim(make, frontier_opts);
   // Deepen until there are comfortably more jobs than threads, so the
   // work-stealing pool can balance uneven subtrees.
   std::vector<Job> jobs;
@@ -121,7 +113,7 @@ long ParallelExplorer::explore_until(const Factory& make,
   // Canonical index of the earliest job that stopped or failed: jobs after
   // it cannot affect the result and are skipped or aborted.
   std::atomic<std::size_t> barrier{SIZE_MAX};
-  std::mutex visit_mu;  // thread-safe visitor adapter (see header)
+  std::mutex visit_mu;  // serializes visitor calls (see header)
 
   std::vector<WorkerQueue> queues(static_cast<std::size_t>(threads_));
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -155,10 +147,7 @@ long ParallelExplorer::explore_until(const Factory& make,
   const auto run_job = [&](std::size_t j) {
     const Job& job = jobs[j];
     JobOutcome& out = outcomes[j];
-    std::unique_ptr<Sim> sim = make();
-    usage_check(sim != nullptr, "Explorer: factory returned null");
-    sim->set_checkpointing(true);
-    if (opts_.tt != nullptr) sim->set_state_hashing(true);
+    std::unique_ptr<Sim> sim = detail::fresh_sim(make, opts_);
     detail::DfsCursor cursor;
     // Replay the job's prefix, revalidating each choice index against the
     // fresh Sim: a factory that does not rebuild the same world is a bug.
@@ -198,9 +187,7 @@ long ParallelExplorer::explore_until(const Factory& make,
           }
           out.count += 1;
           bool stop;
-          if (opts_.concurrent_visitor) {
-            stop = visit(s, schedule);
-          } else {
+          {
             const std::lock_guard<std::mutex> lk(visit_mu);
             stop = visit(s, schedule);
           }

@@ -19,10 +19,8 @@
 // visitors of canonically-later subtrees that were already running may have
 // been invoked before the stop was discovered.
 //
-// Visitors run on pool threads. By default every visitor call is serialized
-// through a mutex (the thread-safe visitor adapter), so existing
-// non-thread-safe visitors keep working unchanged; set
-// ExploreOptions::concurrent_visitor for lock-free visiting.
+// Visitors run on pool threads. Every visitor call is serialized through a
+// mutex, so a visitor need not be thread-safe.
 #pragma once
 
 #include "sim/explore.h"

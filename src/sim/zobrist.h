@@ -107,7 +107,7 @@ inline constexpr std::uint64_t kViolTag = mix(0x3c6ef372fe94f805ULL);
 
 /// From-scratch recomputation of the Sim's state hash (the property-test
 /// oracle for the incrementally maintained value, and the state fingerprint
-/// used by the ReplayExplorer differential oracle). Requires checkpointing
+/// of the tests' replay oracle). Requires checkpointing
 /// (the result log is part of the state).
 [[nodiscard]] std::uint64_t full_hash(const Sim& sim);
 

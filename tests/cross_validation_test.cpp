@@ -44,9 +44,6 @@ std::unique_ptr<Sim> make_ic_round(int n) {
       co_return Value(mask);
     });
   }
-  // Consume the no-op start steps here so the explorer's interleaving space
-  // contains only the meaningful write/read steps.
-  for (int i = 0; i < n; ++i) sim->step(i);
   return sim;
 }
 

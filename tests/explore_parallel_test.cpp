@@ -4,8 +4,8 @@
 // (canonical schedule hashes with the decisions they reach) and report the
 // same count, across crash budgets 0–2 and across register-, snapshot-,
 // channel-, and Alg1/Alg2-based protocols. Plus edge cases: explore_until
-// early-stop determinism, max_steps abort, and BSR_EXPLORE_THREADS
-// resolution.
+// early-stop determinism, max_steps abort, a pre-stepped factory, and
+// BSR_EXPLORE_THREADS resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "core/alg2.h"
 #include "sim/explore.h"
 #include "sim/explore_parallel.h"
+#include "support/replay_explorer.h"
 #include "tasks/approx.h"
 #include "topo/bmz.h"
 #include "util/errors.h"
@@ -58,8 +59,8 @@ struct Enumeration {
 };
 
 /// Runs one engine to exhaustion and fingerprints what it visited. The
-/// default (serialized) visitor adapter makes the push_back safe even for
-/// the multi-threaded engines.
+/// parallel engine serializes visitor calls, so the push_back is safe even
+/// for the multi-threaded engines.
 template <class Engine>
 Enumeration enumerate(const Engine& engine, const Explorer::Factory& make) {
   Enumeration e;
@@ -273,6 +274,25 @@ TEST(ExploreEdgeCases, MaxStepsAbortsInEveryEngine) {
   for (int threads : {1, 2}) {
     opts.threads = threads;
     EXPECT_THROW(Explorer(opts).explore(make, ignore), UsageError);
+  }
+}
+
+// The engine rewinds one live Sim, so it must schedule every step itself: a
+// factory that steps its Sim first (here, the Start steps) is a UsageError
+// in the serial engine and in the parallel one.
+TEST(ExploreEdgeCases, PreSteppedFactoryIsAUsageError) {
+  const auto make = [] {
+    auto sim = make_pair_sim();
+    sim->step(0);
+    sim->step(1);
+    return sim;
+  };
+  const auto ignore = [](Sim&, const std::vector<Choice>&) {};
+  for (int threads : {1, 4}) {
+    ExploreOptions opts;
+    opts.threads = threads;
+    EXPECT_THROW(Explorer(opts).explore(make, ignore), UsageError)
+        << "threads=" << threads;
   }
 }
 

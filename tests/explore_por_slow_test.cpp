@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "analysis/claims.h"
@@ -22,33 +21,16 @@
 #include "sim/sim.h"
 #include "sim/tt.h"
 #include "sim/zobrist.h"
+#include "support/replay_explorer.h"
 
 namespace bsr::sim {
 namespace {
-
-std::string violation_key(const ModelEvent& e) {
-  return to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +
-         std::to_string(e.reg) + "|" + e.message;
-}
-
-struct Observed {
-  long count = 0;
-  std::set<std::uint64_t> finals;
-  std::set<std::string> violations;
-};
 
 TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
   long reduced_somewhere = 0;
   for (const analysis::ProtocolSpec& spec : analysis::builtin_protocols()) {
     if (spec.sample_runner) continue;  // non-terminating: sampled, never swept
     SCOPED_TRACE(spec.name);
-    {
-      // Pre-stepped factories make the Explorer delegate to the replay
-      // engine (which ignores por and tt), so the differential is vacuous.
-      const auto probe = spec.factory();
-      ASSERT_NE(probe, nullptr);
-      if (probe->total_steps() > 0) continue;
-    }
     const auto make = [&spec] {
       auto sim = spec.factory();
       sim->set_violation_collecting(true);  // demos violate by design
@@ -57,23 +39,7 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
 
     // Ground truth: every schedule via rebuild-and-replay, with final
     // states collapsed by the from-scratch hash oracle.
-    Observed oracle;
-    {
-      const auto ckpt = [&make] {
-        auto sim = make();
-        sim->set_checkpointing(true);  // full_hash reads the result logs
-        return sim;
-      };
-      ExploreOptions opts = spec.explore;
-      opts.threads = 1;
-      oracle.count = ReplayExplorer(opts).explore(
-          ckpt, [&](Sim& sim, const std::vector<Choice>&) {
-            oracle.finals.insert(zobrist::full_hash(sim));
-            for (const ModelEvent& e : sim.model_violations()) {
-              oracle.violations.insert(violation_key(e));
-            }
-          });
-    }
+    const Observed oracle = replay_oracle(make, spec.explore);
 
     // POR alone: one representative per commutation class — same finals,
     // same violation findings, never more schedules than the full search.
@@ -89,10 +55,7 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
             return sim;
           },
           [&](Sim& sim, const std::vector<Choice>&) {
-            por.finals.insert(zobrist::full_hash(sim));
-            for (const ModelEvent& e : sim.model_violations()) {
-              por.violations.insert(violation_key(e));
-            }
+            por.record(sim, zobrist::full_hash(sim));
           });
       EXPECT_LE(por.count, oracle.count);
       EXPECT_EQ(por.finals, oracle.finals);
@@ -111,10 +74,7 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       Observed both;
       both.count = Explorer(opts).explore(
           make, [&](Sim& sim, const std::vector<Choice>&) {
-            both.finals.insert(sim.state_hash());
-            for (const ModelEvent& e : sim.model_violations()) {
-              both.violations.insert(violation_key(e));
-            }
+            both.record(sim, sim.state_hash());
           });
       ASSERT_EQ(tt->stats().drops, 0);
       EXPECT_EQ(both.count, static_cast<long>(oracle.finals.size()));

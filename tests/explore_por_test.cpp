@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "sim/sim.h"
 #include "sim/tt.h"
 #include "sim/zobrist.h"
+#include "support/replay_explorer.h"
 
 namespace bsr::sim {
 namespace {
@@ -102,39 +102,6 @@ std::unique_ptr<Sim> make_recv_race() {
   return sim;
 }
 
-std::string violation_key(const ModelEvent& e) {
-  return to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +
-         std::to_string(e.reg) + "|" + e.message;
-}
-
-struct Observed {
-  long count = 0;
-  std::set<std::uint64_t> finals;
-  std::set<std::string> violations;
-};
-
-/// Ground truth via the replay engine (every schedule, no hashing, no
-/// rewinding, and — by construction — no POR).
-Observed replay_oracle(const Explorer::Factory& make, ExploreOptions opts) {
-  Observed obs;
-  const auto ckpt = [&make] {
-    auto sim = make();
-    sim->set_checkpointing(true);  // full_hash reads the result logs
-    return sim;
-  };
-  opts.tt.reset();
-  opts.por = false;
-  opts.threads = 1;
-  obs.count = ReplayExplorer(opts).explore(
-      ckpt, [&](Sim& sim, const std::vector<Choice>&) {
-        obs.finals.insert(zobrist::full_hash(sim));
-        for (const ModelEvent& e : sim.model_violations()) {
-          obs.violations.insert(violation_key(e));
-        }
-      });
-  return obs;
-}
-
 /// The incremental engine with POR on and no table; finals via the
 /// from-scratch hash oracle so they are comparable with replay_oracle's.
 Observed por_run(const Explorer::Factory& make, ExploreOptions opts,
@@ -150,10 +117,7 @@ Observed por_run(const Explorer::Factory& make, ExploreOptions opts,
         return sim;
       },
       [&](Sim& sim, const std::vector<Choice>&) {
-        obs.finals.insert(zobrist::full_hash(sim));
-        for (const ModelEvent& e : sim.model_violations()) {
-          obs.violations.insert(violation_key(e));
-        }
+        obs.record(sim, zobrist::full_hash(sim));
       });
   return obs;
 }
@@ -168,10 +132,7 @@ Observed por_tt_run(const Explorer::Factory& make, ExploreOptions opts,
   opts.threads = threads;
   obs.count = Explorer(opts).explore(
       make, [&](Sim& sim, const std::vector<Choice>&) {
-        obs.finals.insert(sim.state_hash());
-        for (const ModelEvent& e : sim.model_violations()) {
-          obs.violations.insert(violation_key(e));
-        }
+        obs.record(sim, sim.state_hash());
       });
   EXPECT_EQ(tt->stats().drops, 0) << "probe window overflowed; grow the table";
   return obs;

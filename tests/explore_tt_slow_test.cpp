@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "analysis/claims.h"
@@ -18,34 +16,16 @@
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
-#include "sim/zobrist.h"
+#include "support/replay_explorer.h"
 #include "util/value.h"
 
 namespace bsr::sim {
 namespace {
 
-std::string violation_key(const ModelEvent& e) {
-  return to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +
-         std::to_string(e.reg) + "|" + e.message;
-}
-
-struct Observed {
-  long count = 0;
-  std::set<std::uint64_t> finals;
-  std::set<std::string> violations;
-};
-
 TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
   for (const analysis::ProtocolSpec& spec : analysis::builtin_protocols()) {
     if (spec.sample_runner) continue;  // non-terminating: sampled, never swept
     SCOPED_TRACE(spec.name);
-    {
-      // Pre-stepped factories make the Explorer delegate to the replay
-      // engine (which ignores the table), so the differential is vacuous.
-      const auto probe = spec.factory();
-      ASSERT_NE(probe, nullptr);
-      if (probe->total_steps() > 0) continue;
-    }
     const auto make = [&spec] {
       auto sim = spec.factory();
       sim->set_violation_collecting(true);  // demos violate by design
@@ -54,23 +34,7 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
 
     // Ground truth: every schedule via rebuild-and-replay, with final
     // states collapsed by the from-scratch hash oracle.
-    Observed oracle;
-    {
-      const auto ckpt = [&make] {
-        auto sim = make();
-        sim->set_checkpointing(true);  // full_hash reads the result logs
-        return sim;
-      };
-      ExploreOptions opts = spec.explore;
-      opts.threads = 1;
-      oracle.count = ReplayExplorer(opts).explore(
-          ckpt, [&](Sim& sim, const std::vector<Choice>&) {
-            oracle.finals.insert(zobrist::full_hash(sim));
-            for (const ModelEvent& e : sim.model_violations()) {
-              oracle.violations.insert(violation_key(e));
-            }
-          });
-    }
+    const Observed oracle = replay_oracle(make, spec.explore);
 
     // Pruned search: one visit per distinct state, same finals, same
     // violation findings.
@@ -82,10 +46,7 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       Observed pruned;
       pruned.count = Explorer(opts).explore(
           make, [&](Sim& sim, const std::vector<Choice>&) {
-            pruned.finals.insert(sim.state_hash());
-            for (const ModelEvent& e : sim.model_violations()) {
-              pruned.violations.insert(violation_key(e));
-            }
+            pruned.record(sim, sim.state_hash());
           });
       ASSERT_EQ(tt->stats().drops, 0);
       EXPECT_EQ(pruned.count, static_cast<long>(oracle.finals.size()));

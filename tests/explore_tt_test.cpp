@@ -5,23 +5,27 @@
 // configurations (not schedules), and the SET of final states / violations
 // is identical to the unpruned search — checked here against the
 // ReplayExplorer oracle, which knows nothing about hashing or rewinding.
+// ExploreTTOracle runs the same differential on Algorithm 1 in each table
+// configuration of `bsr explore`.
 // All exactness claims require stats().drops == 0 (a full probe window
 // falls back to exploring, which is sound but double-counts).
 #include "sim/tt.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <set>
-#include <string>
+#include <ostream>
 #include <thread>
 #include <vector>
 
+#include "core/alg1.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/zobrist.h"
+#include "support/replay_explorer.h"
 
 namespace bsr::sim {
 namespace {
@@ -77,55 +81,18 @@ std::unique_ptr<Sim> make_recv_race() {
   return sim;
 }
 
-std::string violation_key(const ModelEvent& e) {
-  return to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +
-         std::to_string(e.reg) + "|" + e.message;
-}
-
-/// What one exploration saw, in path-order-independent form.
-struct Observed {
-  long count = 0;
-  std::set<std::uint64_t> finals;       ///< Hashes of distinct final states.
-  std::set<std::string> violations;     ///< Deduped violation keys.
-};
-
-/// Ground truth via the replay engine (explores every SCHEDULE; distinct
-/// final states are collapsed here with the from-scratch hash oracle).
-Observed replay_oracle(const Explorer::Factory& make,
-                       const ExploreOptions& opts) {
-  Observed obs;
-  const auto ckpt = [&make] {
-    auto sim = make();
-    sim->set_checkpointing(true);  // full_hash reads the result logs
-    return sim;
-  };
-  ExploreOptions plain = opts;
-  plain.tt.reset();
-  plain.threads = 1;
-  obs.count = ReplayExplorer(plain).explore(
-      ckpt, [&](Sim& sim, const std::vector<Choice>&) {
-        obs.finals.insert(zobrist::full_hash(sim));
-        for (const ModelEvent& e : sim.model_violations()) {
-          obs.violations.insert(violation_key(e));
-        }
-      });
-  return obs;
-}
-
-/// The same exploration through the incremental engine with a fresh TT.
+/// The same exploration through the incremental engine with a fresh 4 MiB
+/// TT (`bsr explore`'s default); `also`, if set, sees every leaf too.
 Observed tt_run(const Explorer::Factory& make, ExploreOptions opts,
-                int threads = 1) {
+                int threads = 1, const Explorer::Visitor& also = {}) {
   Observed obs;
   auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
   opts.tt = tt;
   opts.threads = threads;
-  opts.concurrent_visitor = false;  // shared Observed, serialize the visitor
   obs.count = Explorer(opts).explore(
-      make, [&](Sim& sim, const std::vector<Choice>&) {
-        obs.finals.insert(sim.state_hash());
-        for (const ModelEvent& e : sim.model_violations()) {
-          obs.violations.insert(violation_key(e));
-        }
+      make, [&](Sim& sim, const std::vector<Choice>& schedule) {
+        obs.record(sim, sim.state_hash());
+        if (also) also(sim, schedule);
       });
   EXPECT_EQ(tt->stats().drops, 0) << "probe window overflowed; grow the table";
   EXPECT_GT(tt->stats().stores, 0);
@@ -264,6 +231,84 @@ TEST(ExploreTT, SharedTableMemoizesWholeRepeatedSearches) {
                                  [](Sim&, const std::vector<Choice>&) {});
   EXPECT_EQ(second, 0);
 }
+
+/// Algorithm 1's decision spread over a set of executions: the extreme
+/// decisions and the widest gap between the two processes' decisions, in
+/// grid steps (the paper's ε-agreement bound is 1).
+struct Spread {
+  std::uint64_t min = ~0ull;
+  std::uint64_t max = 0;
+  std::uint64_t max_gap = 0;
+
+  void record(const Sim& sim) {
+    for (Pid p = 0; p < sim.n(); ++p) {
+      if (!sim.terminated(p)) continue;
+      min = std::min(min, sim.decision(p).as_u64());
+      max = std::max(max, sim.decision(p).as_u64());
+    }
+    if (sim.terminated(0) && sim.terminated(1)) {
+      const std::uint64_t y0 = sim.decision(0).as_u64();
+      const std::uint64_t y1 = sim.decision(1).as_u64();
+      max_gap = std::max(max_gap, y0 > y1 ? y0 - y1 : y1 - y0);
+    }
+  }
+  bool operator==(const Spread&) const = default;
+};
+
+struct Alg1Config {
+  const char* name;
+  std::uint64_t k;
+  int crashes;
+  bool por;
+  int threads;  ///< 0 defers to BSR_EXPLORE_THREADS, as `bsr explore` does.
+};
+
+// Names each case in the discovered ctest names; gtest would otherwise print
+// the struct's raw bytes, the name pointer among them.
+void PrintTo(const Alg1Config& c, std::ostream* os) { *os << c.name; }
+
+class ExploreTTOracle : public ::testing::TestWithParam<Alg1Config> {};
+
+// Algorithm 1 under the table, alone or with POR, serial or parallel: one
+// visit per distinct final state of the replay oracle's, the same final
+// states and decision spread, the paper's gap bound, and no dropped insert.
+TEST_P(ExploreTTOracle, MatchesReplayOracle) {
+  const Alg1Config& c = GetParam();
+  const auto make = [k = c.k] {
+    auto sim = std::make_unique<Sim>(2);
+    core::install_alg1(*sim, k, {0, 1});
+    return sim;
+  };
+  ExploreOptions opts;
+  opts.max_steps = 1000;
+  opts.max_crashes = c.crashes;
+  Spread want;
+  const Observed oracle =
+      replay_oracle(make, opts, [&](Sim& sim, const std::vector<Choice>&) {
+        want.record(sim);
+      });
+
+  opts.por = c.por;
+  Spread got;
+  const Observed pruned = tt_run(
+      make, opts, c.threads,
+      [&](Sim& sim, const std::vector<Choice>&) { got.record(sim); });
+  EXPECT_EQ(pruned.finals, oracle.finals);
+  EXPECT_EQ(pruned.count, static_cast<long>(oracle.finals.size()));
+  EXPECT_EQ(got, want);
+  EXPECT_LE(got.max_gap, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Alg1, ExploreTTOracle,
+    ::testing::Values(Alg1Config{"k2", 2, 0, false, 0},
+                      Alg1Config{"k2_threads4", 2, 0, false, 4},
+                      Alg1Config{"k3", 3, 0, false, 0},
+                      Alg1Config{"k3_threads4", 3, 0, false, 4},
+                      Alg1Config{"k2_crashes1", 2, 1, false, 0},
+                      Alg1Config{"k2_por", 2, 0, true, 0},
+                      Alg1Config{"k2_crashes1_por", 2, 1, true, 0},
+                      Alg1Config{"k3_por", 3, 0, true, 0}));
 
 // Raw concurrency stress: many threads race first_visit over overlapping
 // value streams; exactly one thread must win each distinct value. Between

@@ -8,6 +8,7 @@
 #include "sim/explore.h"
 #include "sim/sched.h"
 #include "sim/sim.h"
+#include "support/replay_explorer.h"
 #include "util/errors.h"
 
 namespace bsr::sim {

@@ -89,8 +89,8 @@ TEST(Zobrist, IncrementalHashMatchesRecomputationOnEveryRegistryProtocol) {
     SCOPED_TRACE(spec.name);
     std::unique_ptr<Sim> sim = spec.factory();
     ASSERT_NE(sim, nullptr);
-    if (sim->total_steps() > 0) continue;  // pre-stepped: cannot checkpoint
-    sim->set_violation_collecting(true);   // demos violate; keep walking
+    ASSERT_EQ(sim->total_steps(), 0);     // checkpointing needs an unstepped Sim
+    sim->set_violation_collecting(true);  // demos violate; keep walking
     sim->set_checkpointing(true);
     sim->set_state_hashing(true);
     ExploreOptions opts = spec.explore;

@@ -15,7 +15,7 @@
 //   bsr trace   --k K --schedule "p0 p1 p0 ..."
 //       Replay a schedule of Algorithm 1 and dump the formatted trace.
 //   bsr explore --k K [--crashes C] [--threads T] [--max-steps S]
-//               [--tt] [--tt-bytes N] [--no-tt] [--por] [--no-por] [--json]
+//               [--tt] [--tt-bytes N] [--por] [--json]
 //       Exhaustively enumerate Algorithm 1's executions and print the count
 //       and decision spread. --threads 0 (the default) honors
 //       BSR_EXPLORE_THREADS; "auto" uses every hardware thread.
@@ -23,20 +23,15 @@
 //       count becomes the number of distinct final configurations, and the
 //       table's probe/hit/store/drop counters are reported ("collisions"
 //       are drops — full probe windows that fall back to exploring).
-//       --tt-bytes sizes the table (default 4 MiB). --no-tt is the
-//       differential mode: the same exploration is re-run through the
-//       ReplayExplorer oracle (no hashing, no rewinding) and the distinct
-//       final states and decision spread are cross-checked; any mismatch —
-//       or a nonzero drop count, which voids exactness — exits 1.
-//       --por turns on sleep-set partial-order reduction (default off;
-//       --no-por spells the default explicitly): choices provably
+//       --tt-bytes sizes the table (default 4 MiB). --por turns on
+//       sleep-set partial-order reduction (default off): choices provably
 //       independent of every sibling already explored — per the static
 //       interference relation, see `bsr lint --mode=interference` — are
 //       skipped. The distinct-final-state set, decision spread, and
-//       violation findings are provably unchanged, so --por composes with
-//       --no-tt as a differential check of the reduction itself.
-//       --json emits one JSON object instead of text. An unknown flag is
-//       a usage error (exit 1) naming it.
+//       violation findings are provably unchanged (the explorer suites
+//       check both switches against a replay oracle). --json emits one
+//       JSON object instead of text. An unknown flag is a usage error
+//       (exit 1) naming it.
 //   bsr lint [--protocol NAME[,NAME...]]
 //            [--mode dynamic|static|symbolic|both|interference|steps]
 //            [--static] [--max-pairs N] [--json] [--list] [--help]
@@ -75,10 +70,6 @@
 //       request, print the response line, exit 0 ok / 1 findings / 2 usage
 //       or transport error / 3 overloaded); --loopback answers --request
 //       in-process without a daemon. docs/SERVE.md is the wire contract.
-//   bsr bench serve
-//       Run the serve benchmark (cold vs warm cache, batched vs unbatched)
-//       and write BENCH_serve.json; exits nonzero if the warm-cache
-//       speedup falls below the committed acceptance bar.
 //
 // Flags may be spelled `--key value` or `--key=value`.
 #include <algorithm>
@@ -87,8 +78,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -97,7 +86,6 @@
 
 #include "analysis/doc.h"
 #include "analysis/lint.h"
-#include "serve/bench.h"
 #include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -110,7 +98,6 @@
 #include "sim/explore.h"
 #include "sim/trace_fmt.h"
 #include "sim/tt.h"
-#include "sim/zobrist.h"
 #include "util/errors.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
@@ -314,13 +301,11 @@ int cmd_trace(const Args& a) {
 /// Path-order-independent summary of one exhaustive enumeration.
 struct ExploreObs {
   long count = 0;
-  std::set<std::uint64_t> finals;  ///< Hashes of distinct final states.
   std::uint64_t min_y = ~0ull;
   std::uint64_t max_y = 0;
   std::uint64_t max_gap = 0;
 
-  void visit(const sim::Sim& sim, std::uint64_t final_hash) {
-    finals.insert(final_hash);
+  void visit(const sim::Sim& sim) {
     for (int p = 0; p < sim.n(); ++p) {
       if (!sim.terminated(p)) continue;
       const std::uint64_t y = sim.decision(p).as_u64();
@@ -337,7 +322,7 @@ struct ExploreObs {
 
 constexpr const char* kExploreUsage =
     R"(usage: bsr explore [--k N] [--crashes N] [--max-steps N] [--threads N|auto]
-                   [--tt] [--tt-bytes N] [--no-tt] [--por] [--no-por] [--json]
+                   [--tt] [--tt-bytes N] [--por] [--json]
 
 Exhaustively enumerates Algorithm 1's executions and reports the decision
 spread against the paper's |y1-y2| <= 1 claim.
@@ -350,23 +335,20 @@ spread against the paper's |y1-y2| <= 1 claim.
   --tt             prune revisited states via the transposition table:
                    the count becomes distinct final configurations
   --tt-bytes N     table size in bytes (default 4194304; implies --tt)
-  --no-tt          differential mode: also run the replay oracle and exit
-                   nonzero on any mismatch or dropped insert (implies --tt)
   --por            sleep-set partial-order reduction, driven by the static
                    interference relation (`bsr lint --mode=interference`);
-                   composes with --tt, and --no-tt cross-checks it
-  --no-por         spell the default explicitly (wins over --por)
+                   composes with --tt
   --json           one JSON object instead of text
   --help           print this help and exit
 
-exit status: 0 ok; 1 differential mismatch, usage error (including an
-unknown flag) or model error.
+exit status: 0 ok; 1 decision gap above the paper's bound, usage error
+(including an unknown flag) or model error.
 )";
 
 int cmd_explore(const Args& a) {
   if (const std::string bad =
           a.unknown({"k", "crashes", "max-steps", "threads", "tt", "tt-bytes",
-                     "no-tt", "por", "no-por", "json", "help"});
+                     "por", "json", "help"});
       !bad.empty()) {
     throw UsageError("bsr explore: unknown flag '--" + bad +
                      "' (see bsr explore --help)");
@@ -396,11 +378,9 @@ int cmd_explore(const Args& a) {
   // threads = 0 falls through to BSR_EXPLORE_THREADS (or 1 if unset).
   const int resolved = sim::resolve_explore_threads(opts.threads);
 
-  const bool differential = a.flag("no-tt");
-  const bool use_tt = a.flag("tt") || a.flag("tt-bytes") || differential;
+  const bool use_tt = a.flag("tt") || a.flag("tt-bytes");
   const bool json = a.flag("json");
-  // --no-por wins over --por (spelling the default explicitly always works).
-  opts.por = a.flag("por") && !a.flag("no-por");
+  opts.por = a.flag("por");
   std::shared_ptr<sim::TranspositionTable> tt;
   if (use_tt) {
     tt = std::make_shared<sim::TranspositionTable>(
@@ -415,40 +395,10 @@ int cmd_explore(const Args& a) {
   };
 
   ExploreObs obs;
-  std::mutex mu;
-  sim::Explorer ex(opts);
-  const long execs = ex.explore(
+  obs.count = sim::Explorer(opts).explore(
       make, [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
-        const std::lock_guard<std::mutex> lk(mu);
-        obs.visit(sim, use_tt ? sim.state_hash()
-                              : sim::zobrist::full_hash(sim));
+        obs.visit(sim);
       });
-  obs.count = execs;
-
-  // Differential leg: the replay oracle enumerates every schedule with no
-  // hashing and no rewinding; the TT run's distinct-final-state set and
-  // decision spread must match it exactly (and drops must be 0, or the
-  // count is an over-approximation).
-  ExploreObs oracle;
-  bool match = true;
-  if (differential) {
-    sim::ExploreOptions plain = opts;
-    plain.tt.reset();
-    plain.threads = 1;
-    oracle.count = sim::ReplayExplorer(plain).explore(
-        [&make]() {
-          auto sim = make();
-          sim->set_checkpointing(true);  // full_hash reads the result logs
-          return sim;
-        },
-        [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
-          oracle.visit(sim, sim::zobrist::full_hash(sim));
-        });
-    match = tt->stats().drops == 0 && obs.finals == oracle.finals &&
-            obs.count == static_cast<long>(oracle.finals.size()) &&
-            obs.min_y == oracle.min_y && obs.max_y == oracle.max_y &&
-            obs.max_gap == oracle.max_gap;
-  }
 
   const std::uint64_t denom = core::alg1_denominator(k);
   if (json) {
@@ -467,11 +417,6 @@ int cmd_explore(const Args& a) {
                 << ",\"stores\":" << s.stores << ",\"drops\":" << s.drops
                 << "}";
     }
-    if (differential) {
-      std::cout << ",\"oracle\":{\"executions\":" << oracle.count
-                << ",\"states\":" << oracle.finals.size()
-                << ",\"match\":" << (match ? "true" : "false") << "}";
-    }
     std::cout << "}\n";
   } else {
     std::cout << "Algorithm 1 exploration: k=" << k << " crashes<="
@@ -488,13 +433,8 @@ int cmd_explore(const Args& a) {
                 << ", hits " << s.hits << ", stores " << s.stores
                 << ", drops " << s.drops << "\n";
     }
-    if (differential) {
-      std::cout << "oracle: " << oracle.count << " schedules, "
-                << oracle.finals.size() << " distinct final states — "
-                << (match ? "match" : "MISMATCH") << "\n";
-    }
   }
-  return (obs.max_gap <= 1 && match) ? 0 : 1;
+  return obs.max_gap <= 1 ? 0 : 1;
 }
 
 int cmd_lint(const Args& a) {
@@ -648,30 +588,18 @@ int cmd_serve(const Args& a) {
   }
 }
 
-int cmd_bench(const Args&, const std::string& which) {
-  if (which == "serve") return serve::run_serve_bench(std::cout);
-  std::cerr << "bsr bench: unknown benchmark '" << which
-            << "' (expected: serve)\n";
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cout << "usage: bsr <agree|fast|stack|adversary|iis|trace|explore"
-                 "|lint|doc|serve|bench> [--flags]\n"
+                 "|lint|doc|serve> [--flags]\n"
                  "see the header comment of tools/bsr_cli.cpp\n";
     return 2;
   }
   const std::string cmd = argv[1];
-  // `bsr bench <name>` carries a positional subcommand; flags start after.
-  const bool is_bench = cmd == "bench";
-  const Args args = parse(argc, argv, is_bench ? 3 : 2);
+  const Args args = parse(argc, argv, 2);
   try {
-    if (is_bench) {
-      return cmd_bench(args, argc >= 3 ? argv[2] : "");
-    }
     if (cmd == "agree") return cmd_agree(args);
     if (cmd == "fast") return cmd_fast(args);
     if (cmd == "stack") return cmd_stack(args);
