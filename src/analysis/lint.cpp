@@ -217,6 +217,16 @@ int run_lint_impl(const LintOptions& opts, std::ostream& out,
 
 }  // namespace
 
+std::optional<LintMode> parse_lint_mode(const std::string& name) {
+  if (name.empty() || name == "dynamic") return LintMode::Dynamic;
+  if (name == "static") return LintMode::Static;
+  if (name == "symbolic") return LintMode::Symbolic;
+  if (name == "both") return LintMode::Both;
+  if (name == "interference") return LintMode::Interference;
+  if (name == "steps") return LintMode::Steps;
+  return std::nullopt;
+}
+
 int run_lint(const LintOptions& opts, std::ostream& out, std::ostream& err) {
   // Registry construction itself runs precomputation (BMZ plans, Algorithm
   // 6 path materialization) through the explorer, so even resolving a

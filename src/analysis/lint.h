@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,15 @@ enum class LintMode {
              ///< cross-validate against the max steps the dynamic tier
              ///< observes (disagreement = exit 2, as in `--mode=both`).
 };
+
+/// The mode names parse_lint_mode accepts, in the words its callers' usage
+/// errors list them.
+inline constexpr const char* kLintModeNames =
+    "dynamic, static, symbolic, both, interference, or steps";
+
+/// Maps a mode name (`bsr lint --mode`, serve's `lint_mode`) to its tier;
+/// empty means Dynamic. nullopt for an unknown name.
+[[nodiscard]] std::optional<LintMode> parse_lint_mode(const std::string& name);
 
 struct LintOptions {
   /// Protocols to analyze by registry name. Empty = every built-in protocol

@@ -1,5 +1,7 @@
 #include "core/alg1.h"
 
+#include <algorithm>
+
 #include "util/errors.h"
 
 namespace bsr::core {
@@ -115,6 +117,19 @@ Alg1Handles build_alg1(Proto& pr, std::uint64_t k,
 }
 
 }  // namespace
+
+void Alg1Spread::record(const sim::Sim& sim) {
+  for (sim::Pid p = 0; p < sim.n(); ++p) {
+    if (!sim.terminated(p)) continue;
+    min = std::min(min, sim.decision(p).as_u64());
+    max = std::max(max, sim.decision(p).as_u64());
+  }
+  if (sim.terminated(0) && sim.terminated(1)) {
+    const std::uint64_t y0 = sim.decision(0).as_u64();
+    const std::uint64_t y1 = sim.decision(1).as_u64();
+    max_gap = std::max(max_gap, y0 > y1 ? y0 - y1 : y1 - y0);
+  }
+}
 
 analysis::ir::ProtocolIR describe_alg1(std::uint64_t k) {
   Proto pr(Proto::ReflectOptions{.n = 2, .params = {}});

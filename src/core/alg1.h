@@ -53,6 +53,20 @@ struct Alg1Handles {
   return 2 * k + 1;
 }
 
+/// Algorithm 1's decision spread over a set of executions: the extreme
+/// decisions and the widest gap between the two processes' decisions, in
+/// grid steps (the paper's ε-agreement bound is 1). `min` stays ~0 until
+/// some process decides.
+struct Alg1Spread {
+  std::uint64_t min = ~0ULL;
+  std::uint64_t max = 0;
+  std::uint64_t max_gap = 0;
+
+  /// Folds in one final state; a crashed process contributes nothing.
+  void record(const sim::Sim& sim);
+  bool operator==(const Alg1Spread&) const = default;
+};
+
 /// Adds Algorithm 1's registers to `sim` (which must have n = 2) and spawns
 /// both processes with the given binary inputs. If `diag` is non-null it is
 /// filled in as the processes run; it must outlive the simulation.

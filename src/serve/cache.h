@@ -23,7 +23,10 @@ namespace bsr::serve {
 /// One cached analysis result: the exact payload a cold run produced.
 struct CacheEntry {
   int exit = 0;       ///< Exit code the equivalent CLI run would return.
-  std::string body;   ///< Payload bytes (JSON document or markdown text).
+  /// Payload bytes as the envelope embeds them: a JSON document, or a
+  /// text payload already encoded as a JSON string. The byte budget counts
+  /// these encoded bytes.
+  std::string body;
 };
 
 /// Monotonic counters exposed through the `stats` request.

@@ -1,9 +1,9 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -48,13 +48,7 @@ std::string ok_envelope(const ModeInfo& info, bool cached, std::uint64_t key,
   os << "{\"ok\":true,\"mode\":\"" << info.mode
      << "\",\"cached\":" << (cached ? "true" : "false");
   if (info.cacheable) os << ",\"key\":\"" << air::fp_hex(key) << "\"";
-  os << ",\"exit\":" << entry.exit << ",\"payload\":";
-  if (std::string(info.payload) == "json") {
-    os << entry.body;
-  } else {
-    os << '"' << analysis::json_escape(entry.body) << '"';
-  }
-  os << "}";
+  os << ",\"exit\":" << entry.exit << ",\"payload\":" << entry.body << "}";
   return os.str();
 }
 
@@ -66,16 +60,15 @@ std::string chomp(std::string s) {
   return s;
 }
 
-analysis::LintMode parse_lint_mode(const std::string& mode) {
-  if (mode.empty() || mode == "dynamic") return analysis::LintMode::Dynamic;
-  if (mode == "static") return analysis::LintMode::Static;
-  if (mode == "symbolic") return analysis::LintMode::Symbolic;
-  if (mode == "both") return analysis::LintMode::Both;
-  if (mode == "interference") return analysis::LintMode::Interference;
-  if (mode == "steps") return analysis::LintMode::Steps;
-  throw UsageError("unknown lint_mode '" + mode +
-                   "' (expected dynamic, static, symbolic, both, "
-                   "interference, or steps)");
+analysis::LintMode lint_mode(const Json& req) {
+  const std::string mode = req.str_or("lint_mode", "dynamic");
+  const std::optional<analysis::LintMode> parsed =
+      analysis::parse_lint_mode(mode);
+  if (!parsed) {
+    throw UsageError("unknown lint_mode '" + mode + "' (expected " +
+                     analysis::kLintModeNames + ")");
+  }
+  return *parsed;
 }
 
 std::vector<std::string> parse_protocols(const Json& req) {
@@ -151,8 +144,7 @@ std::uint64_t Service::spec_fingerprint(const analysis::ProtocolSpec& spec) {
 }
 
 std::uint64_t Service::lint_key(const Json& req) {
-  const analysis::LintMode mode =
-      parse_lint_mode(req.str_or("lint_mode", "dynamic"));
+  const analysis::LintMode mode = lint_mode(req);
   const long max_pairs = bounded_num(req, "max_pairs", 2048, 0, 1 << 20);
   const std::vector<std::string> names = parse_protocols(req);
 
@@ -217,7 +209,7 @@ std::uint64_t Service::doc_key() {
 CacheEntry Service::run_lint_cold(const Json& req) {
   analysis::LintOptions lo;
   lo.json = true;
-  lo.mode = parse_lint_mode(req.str_or("lint_mode", "dynamic"));
+  lo.mode = lint_mode(req);
   lo.max_pairs = static_cast<std::size_t>(
       bounded_num(req, "max_pairs", 2048, 0, 1 << 20));
   lo.protocols = parse_protocols(req);
@@ -241,9 +233,7 @@ CacheEntry Service::run_explore_cold(const Json& req) {
   eo.max_crashes = static_cast<int>(crashes);
   eo.threads = 1;  // deterministic and cheap: repeats come from the cache
 
-  std::uint64_t min_y = ~0ULL;
-  std::uint64_t max_y = 0;
-  std::uint64_t max_gap = 0;
+  core::Alg1Spread spread;
   sim::Explorer ex(eo);
   const long execs = ex.explore(
       [k]() {
@@ -252,33 +242,25 @@ CacheEntry Service::run_explore_cold(const Json& req) {
         return sim;
       },
       [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
-        for (int pid = 0; pid < 2; ++pid) {
-          if (!sim.terminated(pid)) continue;
-          const std::uint64_t y = sim.decision(pid).as_u64();
-          min_y = std::min(min_y, y);
-          max_y = std::max(max_y, y);
-        }
-        if (sim.terminated(0) && sim.terminated(1)) {
-          const std::uint64_t y0 = sim.decision(0).as_u64();
-          const std::uint64_t y1 = sim.decision(1).as_u64();
-          max_gap = std::max(max_gap, y0 > y1 ? y0 - y1 : y1 - y0);
-        }
+        spread.record(sim);
       });
 
   std::ostringstream os;
   os << "{\"protocol\":\"alg1\",\"k\":" << k << ",\"crashes\":" << crashes
      << ",\"max_steps\":" << max_steps << ",\"executions\":" << execs
-     << ",\"decisions\":{\"min\":" << (min_y == ~0ULL ? 0 : min_y)
-     << ",\"max\":" << max_y
+     << ",\"decisions\":{\"min\":" << (spread.min == ~0ULL ? 0 : spread.min)
+     << ",\"max\":" << spread.max
      << ",\"denominator\":" << core::alg1_denominator(k)
-     << ",\"max_gap\":" << max_gap << "}}";
-  return CacheEntry{max_gap <= 1 ? 0 : 1, os.str()};
+     << ",\"max_gap\":" << spread.max_gap << "}}";
+  return CacheEntry{spread.max_gap <= 1 ? 0 : 1, os.str()};
 }
 
 CacheEntry Service::run_doc_cold() {
   std::ostringstream os;
   analysis::write_protocol_reference(os);
-  return CacheEntry{0, chomp(os.str())};
+  // Encoded once, here: a hit splices the cached JSON string as it is
+  // instead of re-escaping the whole markdown reference.
+  return CacheEntry{0, '"' + analysis::json_escape(chomp(os.str())) + '"'};
 }
 
 std::string Service::stats_payload() {

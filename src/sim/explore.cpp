@@ -172,7 +172,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     long steps_before = 0;    ///< cursor.steps before any choice here.
     /// POR: this node's sleep set — choices whose subtrees are owned by
     /// sibling branches. Seeded from the parent when the frame is entered;
-    /// grows by each completed (or table-pruned) child.
+    /// grows by each completed child.
     std::vector<Choice> sleep;
   };
   // frames[0, depth) is the current path. A frame outlives its depth: when
@@ -193,15 +193,15 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     return std::find(f.sleep.begin(), f.sleep.end(), c) != f.sleep.end();
   };
 
-  // Applies the frame's next untried choice, skipping (and immediately
-  // rewinding) any whose resulting state the transposition table has seen —
-  // the first visitor of a state explores its whole subtree before
-  // backtracking, so a repeat can only be a reconvergence, never a state
-  // still on the current path (histories grow monotonically along it).
-  // Under POR it also skips sleeping choices (their interleavings commute
-  // into branches explored elsewhere). Returns false when every remaining
-  // sibling was pruned, asleep, or exhausted, in which case the frame holds
-  // no applied choice.
+  // Applies the frame's next untried choice. Without POR it skips (and
+  // immediately rewinds) any whose resulting state the transposition table
+  // has already claimed — the first visitor of a state explores its whole
+  // subtree before backtracking, so a repeat can only be a reconvergence,
+  // never a state still on the current path (histories grow monotonically
+  // along it). Under POR it skips sleeping choices instead (their
+  // interleavings commute into branches explored elsewhere). Returns false
+  // when every remaining sibling was pruned, asleep, or exhausted, in which
+  // case the frame holds no applied choice.
   const auto advance = [&](Frame& f) {
     while (f.next < f.cs.size()) {
       const Choice& c = f.cs[f.next];
@@ -233,25 +233,12 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
         cursor.crashes += 1;
       }
       cursor.schedule.push_back(c);
-      if (tt != nullptr) {
-        // A state is published only when entered under an *empty* sleep
-        // set: that visit explores the full subtree, so a later hit may
-        // prune no matter what the later visit's sleep set is. A
-        // non-empty-sleep visit explores only part of the subtree and must
-        // probe without inserting (TranspositionTable::seen).
-        const bool pruned = child_sleep.empty()
-                                ? !tt->first_visit(sim.state_hash())
-                                : tt->seen(sim.state_hash());
-        if (pruned) {
-          sim.rewind(1);
-          cursor.schedule.pop_back();
-          cursor.crashes = f.crashes_before;
-          cursor.steps = f.steps_before;
-          // The recorded state's subtree was fully explored by its first
-          // visitor, so `c` is as done here as a completed child.
-          if (opts.por) f.sleep.push_back(c);
-          continue;
-        }
+      if (tt != nullptr && !opts.por && !tt->first_visit(sim.state_hash())) {
+        sim.rewind(1);
+        cursor.schedule.pop_back();
+        cursor.crashes = f.crashes_before;
+        cursor.steps = f.steps_before;
+        continue;
       }
       if (opts.por) cursor.sleep.swap(child_sleep);
       return true;
@@ -264,12 +251,21 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     // complete state (no legal choices) or the depth limit. A node all of
     // whose children prune is no leaf — its subtree's leaves were all
     // visited earlier — so fall through to backtracking without counting.
+    // Under POR the table sees complete states only: a reduced visit
+    // explores an interior node's subtree only in part, so nothing short
+    // of a final configuration may be claimed, and a repeated one is no
+    // leaf either.
     bool at_leaf = true;
     while (depth_limit < 0 || static_cast<long>(depth) < depth_limit) {
       if (depth == frames.size()) frames.emplace_back();
       Frame& f = frames[depth];
       legal_choices(sim, cursor.crashes, opts, f.cs);
-      if (f.cs.empty()) break;
+      if (f.cs.empty()) {
+        if (tt != nullptr && opts.por) {
+          at_leaf = tt->first_visit(sim.state_hash());
+        }
+        break;
+      }
       usage_check(cursor.steps < opts.max_steps,
                   "Explorer: execution exceeded max_steps; "
                   "protocol may not terminate");
@@ -346,9 +342,10 @@ long Explorer::explore_until(const Factory& make,
 long Explorer::explore_serial(const Factory& make,
                               const StoppingVisitor& visit) const {
   std::unique_ptr<Sim> sim = detail::fresh_sim(make, opts_);
-  // Publish the root state too, so a table shared across explore calls
-  // memoizes whole repeated searches.
-  if (opts_.tt != nullptr && !opts_.tt->first_visit(sim->state_hash())) {
+  // Without POR, claim the root state too, so a table shared across
+  // explore calls memoizes whole repeated searches.
+  if (opts_.tt != nullptr && !opts_.por &&
+      !opts_.tt->first_visit(sim->state_hash())) {
     return 0;
   }
   detail::DfsCursor cursor;

@@ -49,7 +49,9 @@ struct ExploreOptions {
   /// State-space memoization: when set, the engine maintains a Zobrist hash
   /// of the world (Sim::set_state_hashing) and prunes any search-tree node
   /// whose state — registers, coroutine histories, channels, crashes, AND
-  /// collected violations — was reached before, consulting this table. The
+  /// collected violations — was reached before, consulting this table.
+  /// Under `por` it consults the table at complete states only, so it
+  /// deduplicates final configurations instead of pruning subtrees. The
   /// table is shared across parallel workers (and may be shared across
   /// explore calls to memoize between them). Under memoization the visitor
   /// runs once per *distinct* final configuration and the returned count is
@@ -70,11 +72,10 @@ struct ExploreOptions {
   /// search tree is acyclic: result histories grow along every path), so
   /// violation findings are bit-identical to the unreduced search; without
   /// `tt` the visited-execution count shrinks to one representative per
-  /// commutation class. Composes with `tt`: states are published to the
-  /// table only when visited under an empty sleep set (a non-empty-sleep
-  /// visit explores the subtree only partially, so it probes without
-  /// inserting), which keeps the memoized count equal to the number of
-  /// distinct final configurations.
+  /// commutation class. Composes with `tt`: the table then sees only
+  /// complete states (a reduced visit explores an interior node's subtree
+  /// only in part, so no interior node is claimed), and the count is the
+  /// number of distinct final configurations.
   bool por = false;
 };
 
@@ -166,9 +167,10 @@ using DfsLeafFn = std::function<bool(
 /// `depth_limit` choices below the root, calling `leaf` for each; returns
 /// the number of leaves visited. Enforces opts.max_steps.
 /// With opts.tt set (requires sim.state_hashing()), every applied choice is
-/// probed against the table and already-seen states are pruned on entry;
-/// the engines never combine tt with a depth limit (pruning a frontier
-/// node would hide the subtree behind it from the job partition).
+/// claimed in the table and already-claimed states are pruned on entry;
+/// under opts.por only complete states are claimed, and a repeated one is
+/// not a leaf. The engines never combine tt with a depth limit (pruning a
+/// frontier node would hide the subtree behind it from the job partition).
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
                      DfsCursor& cursor, const DfsLeafFn& leaf);
 

@@ -167,16 +167,13 @@ long ParallelExplorer::explore_until(const Factory& make,
       cursor.schedule.push_back(c);
     }
     cursor.sleep = job.sleep;
-    // Publish the subtree root: distinct frontier prefixes can converge on
-    // one state, and whichever job claims it first owns the whole subtree.
-    // Under POR a root entered with a non-empty sleep set explores only
-    // part of the subtree, so it probes without inserting (same discipline
-    // as incremental_dfs).
-    if (opts_.tt != nullptr) {
-      const bool pruned = job.sleep.empty()
-                              ? !opts_.tt->first_visit(sim->state_hash())
-                              : opts_.tt->seen(sim->state_hash());
-      if (pruned) return;
+    // Without POR, claim the subtree root: distinct frontier prefixes can
+    // converge on one state, and whichever job claims it first owns the
+    // whole subtree. Under POR the table sees complete states only, which
+    // incremental_dfs claims.
+    if (opts_.tt != nullptr && !opts_.por &&
+        !opts_.tt->first_visit(sim->state_hash())) {
+      return;
     }
     detail::incremental_dfs(
         *sim, opts_, -1, cursor,

@@ -9,7 +9,6 @@ TranspositionTable::TranspositionTable(std::size_t bytes) {
   std::size_t slots = std::size_t{1} << 10;
   while (slots <= bytes / (2 * sizeof(std::uint64_t))) slots *= 2;
   slots_ = std::vector<std::atomic<std::uint64_t>>(slots);
-  homes_ = std::vector<std::atomic<std::uint64_t>>(slots / 64);
   mask_ = static_cast<std::uint64_t>(slots) - 1;
 }
 
@@ -17,15 +16,12 @@ bool TranspositionTable::first_visit(std::uint64_t h) noexcept {
   // 0 marks an empty slot; remap a (vanishingly unlikely) zero hash.
   if (h == 0) h = 0x9e3779b97f4a7c15ULL;
   probes_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t home = h & mask_;
-  std::uint64_t i = home;
+  std::uint64_t i = h & mask_;
   for (int probe = 0; probe < kProbeWindow; ++probe, i = (i + 1) & mask_) {
     std::uint64_t cur = slots_[i].load(std::memory_order_relaxed);
     if (cur == 0) {
       if (slots_[i].compare_exchange_strong(cur, h,
                                             std::memory_order_relaxed)) {
-        homes_[home >> 6].fetch_or(std::uint64_t{1} << (home & 63),
-                                   std::memory_order_relaxed);
         stores_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -38,27 +34,6 @@ bool TranspositionTable::first_visit(std::uint64_t h) noexcept {
   }
   drops_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-bool TranspositionTable::seen(std::uint64_t h) noexcept {
-  if (h == 0) h = 0x9e3779b97f4a7c15ULL;
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t i = h & mask_;
-  // A clear home bit means no published hash starts its probe window here,
-  // so `h` is absent (or its publish is still racing this read; see tt.h).
-  if ((homes_[i >> 6].load(std::memory_order_relaxed) &
-       (std::uint64_t{1} << (i & 63))) == 0) {
-    return false;
-  }
-  for (int probe = 0; probe < kProbeWindow; ++probe, i = (i + 1) & mask_) {
-    const std::uint64_t cur = slots_[i].load(std::memory_order_relaxed);
-    if (cur == 0) return false;
-    if (cur == h) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
 }
 
 TranspositionTable::Stats TranspositionTable::stats() const noexcept {

@@ -69,14 +69,16 @@ TEST(ExploreAlloc, FullInformationSearchAllocatesLessThanOncePerFourNodes) {
   g_counting.store(false, std::memory_order_relaxed);
   const long allocations = g_allocations.load(std::memory_order_relaxed);
 
-  const TranspositionTable::Stats s = tt->stats();
-  ASSERT_EQ(s.drops, 0) << "probe window overflowed; grow the table";
-  EXPECT_GT(finals, 0);
-  // Every applied choice probes the table once, plus the root.
-  const long nodes = s.probes - 1;
-  ASSERT_GT(nodes, 10'000) << "the search is too small to measure";
-  EXPECT_LT(allocations * 4, nodes)
-      << allocations << " allocations over " << nodes << " nodes ("
+  ASSERT_EQ(tt->stats().drops, 0) << "probe window overflowed; grow the table";
+  // The search's node count, pinned from a run that probed the table at
+  // every node: that run got no hits, so the table pruned nothing and the
+  // search visits the same nodes now that the table sees only complete
+  // states. The explorer's own node counters (ROADMAP.md, "Counters inside
+  // the library") are to replace both pins.
+  constexpr long kNodes = 67'006;
+  EXPECT_EQ(finals, 3886);
+  EXPECT_LT(allocations * 4, kNodes)
+      << allocations << " allocations over " << kNodes << " nodes ("
       << finals << " finals)";
 }
 

@@ -9,7 +9,9 @@
 //     reaches exactly the same final-configuration set and the same
 //     violation findings (bit-identical keys, not just kinds);
 //   * POR + TT visits exactly one schedule per distinct final
-//     configuration — the same count TT alone reports — with zero drops.
+//     configuration — the same count TT alone reports — with zero drops;
+//     the table sees complete states only, so it probes once per POR-only
+//     leaf, serial and parallel alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,6 +45,7 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
 
     // POR alone: one representative per commutation class — same finals,
     // same violation findings, never more schedules than the full search.
+    long por_leaves = 0;
     {
       ExploreOptions opts = spec.explore;
       opts.por = true;
@@ -61,10 +64,13 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       EXPECT_EQ(por.finals, oracle.finals);
       EXPECT_EQ(por.violations, oracle.violations);
       if (por.count < oracle.count) ++reduced_somewhere;
+      por_leaves = por.count;
     }
 
     // POR + TT: exactly one visit per distinct final configuration (the
-    // empty-sleep publication discipline), same finals, same findings.
+    // table deduplicates the reduced search's leaves), same finals, same
+    // findings.
+    TranspositionTable::Stats serial_stats;
     {
       auto tt = std::make_shared<TranspositionTable>(std::size_t{16} << 20);
       ExploreOptions opts = spec.explore;
@@ -76,15 +82,19 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
           make, [&](Sim& sim, const std::vector<Choice>&) {
             both.record(sim, sim.state_hash());
           });
-      ASSERT_EQ(tt->stats().drops, 0);
+      serial_stats = tt->stats();
+      ASSERT_EQ(serial_stats.drops, 0);
       EXPECT_EQ(both.count, static_cast<long>(oracle.finals.size()));
       EXPECT_EQ(both.finals, oracle.finals);
       EXPECT_EQ(both.violations, oracle.violations);
+      EXPECT_EQ(serial_stats.probes, por_leaves);
+      EXPECT_EQ(serial_stats.stores, both.count);
+      EXPECT_EQ(serial_stats.hits, serial_stats.probes - serial_stats.stores);
     }
 
     // POR + TT on the parallel engine: the frontier jobs re-seed the serial
-    // sleep sets, so the reduced tree — and therefore the count — is the
-    // same.
+    // sleep sets, so the reduced tree — and therefore the count and the
+    // table's counters — is the same.
     {
       auto tt = std::make_shared<TranspositionTable>(std::size_t{16} << 20);
       ExploreOptions opts = spec.explore;
@@ -100,6 +110,9 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       ASSERT_EQ(tt->stats().drops, 0);
       EXPECT_EQ(count, static_cast<long>(oracle.finals.size()));
       EXPECT_EQ(finals, oracle.finals);
+      EXPECT_EQ(tt->stats().probes, serial_stats.probes);
+      EXPECT_EQ(tt->stats().hits, serial_stats.hits);
+      EXPECT_EQ(tt->stats().stores, serial_stats.stores);
     }
   }
   // The sweep must demonstrate an actual reduction on at least one

@@ -9,13 +9,14 @@
 // exactly that of the unreduced search; without a transposition table the
 // visited-execution count shrinks to one representative per commutation
 // class, and with one it stays equal to the number of distinct final
-// configurations (states are only published when visited under an empty
-// sleep set). All of this is checked here against the ReplayExplorer
-// oracle, which knows nothing about footprints, sleeping, or hashing; the
-// full-registry sweep of the same properties carries the `slow` label
-// (explore_por_slow_test.cpp).
+// configurations (the table then sees complete states only, so it
+// deduplicates the reduced search's leaves). All of this is checked here
+// against the ReplayExplorer oracle, which knows nothing about footprints,
+// sleeping, or hashing; the full-registry sweep of the same properties
+// carries the `slow` label (explore_por_slow_test.cpp).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,9 +123,11 @@ Observed por_run(const Explorer::Factory& make, ExploreOptions opts,
   return obs;
 }
 
-/// POR composed with a transposition table.
+/// POR composed with a transposition table; `stats`, if set, receives the
+/// table's counters.
 Observed por_tt_run(const Explorer::Factory& make, ExploreOptions opts,
-                    int threads = 1) {
+                    int threads = 1,
+                    TranspositionTable::Stats* stats = nullptr) {
   Observed obs;
   auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
   opts.tt = tt;
@@ -135,7 +138,23 @@ Observed por_tt_run(const Explorer::Factory& make, ExploreOptions opts,
         obs.record(sim, sim.state_hash());
       });
   EXPECT_EQ(tt->stats().drops, 0) << "probe window overflowed; grow the table";
+  if (stats != nullptr) *stats = tt->stats();
   return obs;
+}
+
+/// Under POR the table sees complete states only: it probes each leaf of
+/// the POR-only search once, stores each distinct final configuration, and
+/// hits on every other probe.
+void expect_leaf_only_table(const TranspositionTable::Stats& s,
+                            long por_leaves, std::size_t finals) {
+  EXPECT_EQ(s.probes, por_leaves);
+  EXPECT_EQ(s.stores, static_cast<long>(finals));
+  EXPECT_EQ(s.hits, s.probes - s.stores);
+}
+
+/// The table's counters, comparable across runs.
+std::array<long, 4> counters(const TranspositionTable::Stats& s) {
+  return {s.probes, s.hits, s.stores, s.drops};
 }
 
 TEST(ExplorePor, PreservesFinalsWhileVisitingFewerSchedulesOnPairRace) {
@@ -189,10 +208,13 @@ TEST(ExplorePor, ComposedWithTtStillCountsDistinctFinalConfigurations) {
   for (const auto& factory :
        {&make_pair_sim, &make_disjoint_sim, &make_write_once_race}) {
     const Observed oracle = replay_oracle(*factory, ExploreOptions{});
-    const Observed por_tt = por_tt_run(*factory, ExploreOptions{});
+    const Observed por = por_run(*factory, ExploreOptions{});
+    TranspositionTable::Stats stats;
+    const Observed por_tt = por_tt_run(*factory, ExploreOptions{}, 1, &stats);
     EXPECT_EQ(por_tt.count, static_cast<long>(oracle.finals.size()));
     EXPECT_EQ(por_tt.finals, oracle.finals);
     EXPECT_EQ(por_tt.violations, oracle.violations);
+    expect_leaf_only_table(stats, por.count, oracle.finals.size());
   }
 }
 
@@ -209,17 +231,21 @@ TEST(ExplorePor, CrashChoicesStayExactUnderReduction) {
 }
 
 TEST(ExplorePor, ParallelEngineExploresTheSameReducedTree) {
-  for (int threads : {2, 4}) {
-    const Observed serial = por_tt_run(make_pair_sim, ExploreOptions{});
-    const Observed par = por_tt_run(make_pair_sim, ExploreOptions{}, threads);
-    EXPECT_EQ(par.count, serial.count);
-    EXPECT_EQ(par.finals, serial.finals);
-
-    const Observed dserial = por_tt_run(make_disjoint_sim, ExploreOptions{});
-    const Observed dpar =
-        por_tt_run(make_disjoint_sim, ExploreOptions{}, threads);
-    EXPECT_EQ(dpar.count, dserial.count);
-    EXPECT_EQ(dpar.finals, dserial.finals);
+  for (const auto& factory : {&make_pair_sim, &make_disjoint_sim}) {
+    const Observed por = por_run(*factory, ExploreOptions{});
+    TranspositionTable::Stats serial_stats;
+    const Observed serial =
+        por_tt_run(*factory, ExploreOptions{}, 1, &serial_stats);
+    expect_leaf_only_table(serial_stats, por.count, serial.finals.size());
+    for (int threads : {2, 4}) {
+      TranspositionTable::Stats par_stats;
+      const Observed par =
+          por_tt_run(*factory, ExploreOptions{}, threads, &par_stats);
+      EXPECT_EQ(par.count, serial.count);
+      EXPECT_EQ(par.finals, serial.finals);
+      EXPECT_EQ(counters(par_stats), counters(serial_stats))
+          << threads << " threads";
+    }
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
@@ -114,53 +113,37 @@ TEST(ExploreTT, FirstVisitClaimsEachHashOnce) {
   EXPECT_GE(s.slots * 8, std::size_t{1} << 16);
 }
 
-// `seen` answers from the home summary when no published hash starts its
-// probe window at the queried hash's home slot, and walks the window
-// otherwise. Hashes are built as (tag << 10) | home so each lands on a
-// chosen home slot of the minimum-size table.
-TEST(ExploreTT, SeenFindsEveryPublishedHashAcrossCollisions) {
+// Colliding hashes spill along the probe window, wrap past the last slot,
+// and are still claimed once each; a window that is full drops the insert
+// and tells the caller to explore. Hashes are built as (tag << 10) | home so
+// each lands on a chosen home slot of the minimum-size table.
+TEST(ExploreTT, FirstVisitClaimsAcrossCollisionsAndDropsAFullWindow) {
   TranspositionTable tt(0);  // the minimum: 1024 slots
   ASSERT_EQ(tt.capacity(), 1024u);
   const auto at = [](std::uint64_t home, std::uint64_t tag) {
     return (tag << 10) | home;
   };
-  std::vector<std::uint64_t> published;
+  std::vector<std::uint64_t> claimed;
   // Four hashes sharing home 5 spill into slots 6..8; three with home 1023
   // wrap to slots 0 and 1; sixteen with home 100 fill the whole probe
   // window, 100..115.
-  for (std::uint64_t tag = 1; tag <= 4; ++tag) published.push_back(at(5, tag));
-  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
-    published.push_back(at(1023, tag));
-  }
-  for (std::uint64_t tag = 1; tag <= 16; ++tag) {
-    published.push_back(at(100, tag));
-  }
+  for (std::uint64_t tag = 1; tag <= 4; ++tag) claimed.push_back(at(5, tag));
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) claimed.push_back(at(1023, tag));
+  for (std::uint64_t tag = 1; tag <= 16; ++tag) claimed.push_back(at(100, tag));
+  for (const std::uint64_t h : claimed) ASSERT_TRUE(tt.first_visit(h)) << h;
+  for (const std::uint64_t h : claimed) EXPECT_FALSE(tt.first_visit(h)) << h;
 
-  // Before publishing: absent, and looking does not insert.
-  EXPECT_FALSE(tt.seen(published.front()));
-  EXPECT_FALSE(tt.seen(0));
-  for (const std::uint64_t h : published) ASSERT_TRUE(tt.first_visit(h)) << h;
-  ASSERT_TRUE(tt.first_visit(0));  // the zero hash, remapped to a sentinel
-
-  for (const std::uint64_t h : published) EXPECT_TRUE(tt.seen(h)) << h;
-  EXPECT_TRUE(tt.seen(0));
-
-  // Unpublished hashes whose home bit a published neighbour set: the walk
-  // stops at the first empty slot (9, 2) or at the end of a full window.
-  EXPECT_FALSE(tt.seen(at(5, 99)));
-  EXPECT_FALSE(tt.seen(at(1023, 99)));
-  EXPECT_FALSE(tt.seen(at(100, 99)));
-  // Occupied slots whose home bit is clear: slot 6 holds a spill from home
-  // 5 and slot 0 a wrap from home 1023, but no published hash starts there.
-  EXPECT_FALSE(tt.seen(at(6, 99)));
-  EXPECT_FALSE(tt.seen(at(0, 99)));
+  // A seventeenth hash for home 100 finds no free slot: dropped, so it is
+  // "first" every time it is asked.
+  EXPECT_TRUE(tt.first_visit(at(100, 99)));
+  EXPECT_TRUE(tt.first_visit(at(100, 99)));
 
   const TranspositionTable::Stats s = tt.stats();
-  const long n = static_cast<long>(published.size());
-  EXPECT_EQ(s.probes, 2 + (n + 1) + (n + 1) + 5);
-  EXPECT_EQ(s.hits, n + 1);
-  EXPECT_EQ(s.stores, n + 1);
-  EXPECT_EQ(s.drops, 0);
+  const long n = static_cast<long>(claimed.size());
+  EXPECT_EQ(s.probes, 2 * n + 2);
+  EXPECT_EQ(s.stores, n);
+  EXPECT_EQ(s.hits, n);
+  EXPECT_EQ(s.drops, 2);
 }
 
 // Sizing divides the byte budget instead of multiplying the slot count: a
@@ -232,29 +215,6 @@ TEST(ExploreTT, SharedTableMemoizesWholeRepeatedSearches) {
   EXPECT_EQ(second, 0);
 }
 
-/// Algorithm 1's decision spread over a set of executions: the extreme
-/// decisions and the widest gap between the two processes' decisions, in
-/// grid steps (the paper's ε-agreement bound is 1).
-struct Spread {
-  std::uint64_t min = ~0ull;
-  std::uint64_t max = 0;
-  std::uint64_t max_gap = 0;
-
-  void record(const Sim& sim) {
-    for (Pid p = 0; p < sim.n(); ++p) {
-      if (!sim.terminated(p)) continue;
-      min = std::min(min, sim.decision(p).as_u64());
-      max = std::max(max, sim.decision(p).as_u64());
-    }
-    if (sim.terminated(0) && sim.terminated(1)) {
-      const std::uint64_t y0 = sim.decision(0).as_u64();
-      const std::uint64_t y1 = sim.decision(1).as_u64();
-      max_gap = std::max(max_gap, y0 > y1 ? y0 - y1 : y1 - y0);
-    }
-  }
-  bool operator==(const Spread&) const = default;
-};
-
 struct Alg1Config {
   const char* name;
   std::uint64_t k;
@@ -282,14 +242,14 @@ TEST_P(ExploreTTOracle, MatchesReplayOracle) {
   ExploreOptions opts;
   opts.max_steps = 1000;
   opts.max_crashes = c.crashes;
-  Spread want;
+  core::Alg1Spread want;
   const Observed oracle =
       replay_oracle(make, opts, [&](Sim& sim, const std::vector<Choice>&) {
         want.record(sim);
       });
 
   opts.por = c.por;
-  Spread got;
+  core::Alg1Spread got;
   const Observed pruned = tt_run(
       make, opts, c.threads,
       [&](Sim& sim, const std::vector<Choice>&) { got.record(sim); });
@@ -311,36 +271,29 @@ INSTANTIATE_TEST_SUITE_P(
                       Alg1Config{"k3_por", 3, 0, true, 0}));
 
 // Raw concurrency stress: many threads race first_visit over overlapping
-// value streams; exactly one thread must win each distinct value. Between
-// claims each thread also asks `seen` about a value nobody publishes, racing
-// the home-summary reads against other threads' publishes; those must all
-// miss, and after the join `seen` must find every claimed value. Run under
-// TSan in CI (the suite name matches the Explore filter there).
+// value streams; exactly one thread must win each distinct value, and after
+// the join every claimed value must be found again. Run under TSan in CI
+// (the suite name matches the Explore filter there).
 TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kValues = 20000;
   TranspositionTable tt(std::size_t{4} << 20);  // ~26x headroom: no drops
   std::vector<std::atomic<int>> wins(kValues);
   for (auto& w : wins) w.store(0, std::memory_order_relaxed);
-  std::atomic<long> phantom_hits{0};
   {
     std::vector<std::jthread> pool;
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&tt, &wins, &phantom_hits, t] {
+      pool.emplace_back([&tt, &wins, t] {
         // Each thread walks the values from a different offset so the
         // races spread over the whole table.
         for (std::uint64_t i = 0; i < kValues; ++i) {
           const std::uint64_t v =
               (i + static_cast<std::uint64_t>(t) * (kValues / kThreads)) %
               kValues;
-          // Mix so consecutive values do not probe adjacent slots; `mix` is
-          // a bijection, so v + 1 + kValues is never claimed.
+          // Mix so consecutive values do not probe adjacent slots.
           if (tt.first_visit(zobrist::mix(v + 1))) {
             wins[v].fetch_add(1, std::memory_order_relaxed);
-          }
-          if (tt.seen(zobrist::mix(v + 1 + kValues))) {
-            phantom_hits.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });
@@ -348,12 +301,11 @@ TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   }
   ASSERT_EQ(tt.stats().drops, 0);
   EXPECT_EQ(tt.stats().stores, static_cast<long>(kValues));
-  EXPECT_EQ(phantom_hits.load(), 0);
   for (std::uint64_t v = 0; v < kValues; ++v) {
     ASSERT_EQ(wins[v].load(), 1) << "value " << v;
-    ASSERT_TRUE(tt.seen(zobrist::mix(v + 1))) << "value " << v;
+    ASSERT_FALSE(tt.first_visit(zobrist::mix(v + 1))) << "value " << v;
   }
-  // Every claim but the winning one hit, as did every seen after the join.
+  // Every claim but the winning one hit, as did every claim after the join.
   EXPECT_EQ(tt.stats().hits, static_cast<long>(kThreads * kValues));
 }
 

@@ -297,6 +297,15 @@ TEST(Service, DocPayloadMatchesTheGeneratedReference) {
   EXPECT_NE(resp.find(",\"payload\":\"" + analysis::json_escape(expected) +
                       "\"}"),
             std::string::npos);
+
+  // The warm repeat splices the cached, already-encoded payload: the same
+  // envelope bytes except for the cached flag.
+  std::string want_warm = resp;
+  const std::string cold_flag = "\"cached\":false";
+  const std::size_t at = want_warm.find(cold_flag);
+  ASSERT_NE(at, std::string::npos);
+  want_warm.replace(at, cold_flag.size(), "\"cached\":true");
+  EXPECT_EQ(service.handle_line(R"({"mode":"doc"})"), want_warm);
 }
 
 TEST(Service, ErrorEnvelopes) {

@@ -29,9 +29,10 @@
 //       interference relation, see `bsr lint --mode=interference` — are
 //       skipped. The distinct-final-state set, decision spread, and
 //       violation findings are provably unchanged (the explorer suites
-//       check both switches against a replay oracle). --json emits one
-//       JSON object instead of text. An unknown flag is a usage error
-//       (exit 1) naming it.
+//       check both switches against a replay oracle). With --por, --tt
+//       deduplicates complete states only, so the table's counters count
+//       the reduced search's leaves. --json emits one JSON object instead
+//       of text. An unknown flag is a usage error (exit 1) naming it.
 //   bsr lint [--protocol NAME[,NAME...]]
 //            [--mode dynamic|static|symbolic|both|interference|steps]
 //            [--static] [--max-pairs N] [--json] [--list] [--help]
@@ -78,6 +79,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -298,28 +300,6 @@ int cmd_trace(const Args& a) {
   return 0;
 }
 
-/// Path-order-independent summary of one exhaustive enumeration.
-struct ExploreObs {
-  long count = 0;
-  std::uint64_t min_y = ~0ull;
-  std::uint64_t max_y = 0;
-  std::uint64_t max_gap = 0;
-
-  void visit(const sim::Sim& sim) {
-    for (int p = 0; p < sim.n(); ++p) {
-      if (!sim.terminated(p)) continue;
-      const std::uint64_t y = sim.decision(p).as_u64();
-      min_y = std::min(min_y, y);
-      max_y = std::max(max_y, y);
-    }
-    if (sim.terminated(0) && sim.terminated(1)) {
-      const std::uint64_t y0 = sim.decision(0).as_u64();
-      const std::uint64_t y1 = sim.decision(1).as_u64();
-      max_gap = std::max(max_gap, y0 > y1 ? y0 - y1 : y1 - y0);
-    }
-  }
-};
-
 constexpr const char* kExploreUsage =
     R"(usage: bsr explore [--k N] [--crashes N] [--max-steps N] [--threads N|auto]
                    [--tt] [--tt-bytes N] [--por] [--json]
@@ -337,7 +317,8 @@ spread against the paper's |y1-y2| <= 1 claim.
   --tt-bytes N     table size in bytes (default 4194304; implies --tt)
   --por            sleep-set partial-order reduction, driven by the static
                    interference relation (`bsr lint --mode=interference`);
-                   composes with --tt
+                   with --tt the table sees only complete states, so its
+                   counters count the reduced search's leaves
   --json           one JSON object instead of text
   --help           print this help and exit
 
@@ -394,10 +375,10 @@ int cmd_explore(const Args& a) {
     return sim;
   };
 
-  ExploreObs obs;
-  obs.count = sim::Explorer(opts).explore(
+  core::Alg1Spread spread;
+  const long count = sim::Explorer(opts).explore(
       make, [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
-        obs.visit(sim);
+        spread.record(sim);
       });
 
   const std::uint64_t denom = core::alg1_denominator(k);
@@ -407,9 +388,9 @@ int cmd_explore(const Args& a) {
               << ",\"threads\":" << resolved
               << ",\"por\":" << (opts.por ? "true" : "false")
               << ",\"" << (use_tt ? "states" : "executions")
-              << "\":" << obs.count << ",\"decisions\":{\"min\":" << obs.min_y
-              << ",\"max\":" << obs.max_y << ",\"denominator\":" << denom
-              << ",\"max_gap\":" << obs.max_gap << "}";
+              << "\":" << count << ",\"decisions\":{\"min\":" << spread.min
+              << ",\"max\":" << spread.max << ",\"denominator\":" << denom
+              << ",\"max_gap\":" << spread.max_gap << "}";
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
       std::cout << ",\"tt\":{\"bytes\":" << s.slots * 8
@@ -423,9 +404,9 @@ int cmd_explore(const Args& a) {
               << opts.max_crashes << " threads=" << resolved
               << (opts.por ? " por=on" : "") << "\n"
               << (use_tt ? "distinct final states: " : "executions: ")
-              << obs.count << "\n"
-              << "decisions: [" << obs.min_y << ", " << obs.max_y << "]/"
-              << denom << ", max |y1-y2| (grid steps): " << obs.max_gap
+              << count << "\n"
+              << "decisions: [" << spread.min << ", " << spread.max << "]/"
+              << denom << ", max |y1-y2| (grid steps): " << spread.max_gap
               << " (paper: <= 1)\n";
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
@@ -434,7 +415,7 @@ int cmd_explore(const Args& a) {
                 << ", drops " << s.drops << "\n";
     }
   }
-  return obs.max_gap <= 1 ? 0 : 1;
+  return spread.max_gap <= 1 ? 0 : 1;
 }
 
 int cmd_lint(const Args& a) {
@@ -458,24 +439,14 @@ int cmd_lint(const Args& a) {
     }
     mode = "static";
   }
-  if (mode.empty() || mode == "dynamic") {
-    opts.mode = analysis::LintMode::Dynamic;
-  } else if (mode == "static") {
-    opts.mode = analysis::LintMode::Static;
-  } else if (mode == "symbolic") {
-    opts.mode = analysis::LintMode::Symbolic;
-  } else if (mode == "both") {
-    opts.mode = analysis::LintMode::Both;
-  } else if (mode == "interference") {
-    opts.mode = analysis::LintMode::Interference;
-  } else if (mode == "steps") {
-    opts.mode = analysis::LintMode::Steps;
-  } else {
-    std::cerr << "bsr lint: unknown mode '" << mode
-              << "' (expected dynamic, static, symbolic, both, "
-                 "interference, or steps)\n";
+  const std::optional<analysis::LintMode> parsed =
+      analysis::parse_lint_mode(mode);
+  if (!parsed) {
+    std::cerr << "bsr lint: unknown mode '" << mode << "' (expected "
+              << analysis::kLintModeNames << ")\n";
     return 2;
   }
+  opts.mode = *parsed;
   opts.max_pairs = static_cast<std::size_t>(
       a.u64("max-pairs", static_cast<std::uint64_t>(opts.max_pairs)));
   std::istringstream names(a.str("protocol", ""));
