@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "sim/explore.h"
 #include "sim/sim.h"
+#include "sim/tt.h"
 
 namespace bsr::analysis {
 namespace {
@@ -182,7 +184,13 @@ ProtocolReport analyze_protocol(const ProtocolSpec& spec) {
       ++rep.executions;
     }
   } else {
-    const sim::Explorer explorer(spec.explore);
+    // Everything harvested is a function of the hashed final state, and the
+    // first schedule in DFS order that reaches a final state is the one a
+    // counting search visits, so memoizing schedule counts leaves the report
+    // unchanged while expanding each state once.
+    sim::ExploreOptions opts = spec.explore;
+    opts.tt = std::make_shared<sim::TranspositionTable>(sim::kSmallTableBytes);
+    const sim::Explorer explorer(opts);
     rep.executions = explorer.explore(
         make_sim,
         [&](sim::Sim& sim, const std::vector<sim::Choice>& schedule) {

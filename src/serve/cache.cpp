@@ -22,10 +22,10 @@ bool ResultCache::lookup(std::uint64_t key, CacheEntry* out) {
 
 void ResultCache::insert(std::uint64_t key, CacheEntry entry) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t size = entry.body.size();
+  const std::size_t size = entry.body->size();
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    stats_.bytes -= it->second->entry.body.size();
+    stats_.bytes -= it->second->entry.body->size();
     lru_.erase(it->second);
     index_.erase(it);
     --stats_.entries;
@@ -42,7 +42,7 @@ void ResultCache::evict_to_budget() {
   while (!lru_.empty() &&
          (stats_.entries > max_entries_ || stats_.bytes > max_bytes_)) {
     const Node& victim = lru_.back();
-    stats_.bytes -= victim.entry.body.size();
+    stats_.bytes -= victim.entry.body->size();
     index_.erase(victim.key);
     lru_.pop_back();
     --stats_.entries;

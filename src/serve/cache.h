@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -25,8 +26,9 @@ struct CacheEntry {
   int exit = 0;       ///< Exit code the equivalent CLI run would return.
   /// Payload bytes as the envelope embeds them: a JSON document, or a
   /// text payload already encoded as a JSON string. The byte budget counts
-  /// these encoded bytes.
-  std::string body;
+  /// these encoded bytes. Immutable and shared, so a hit copies a pointer,
+  /// not the payload.
+  std::shared_ptr<const std::string> body;
 };
 
 /// Monotonic counters exposed through the `stats` request.

@@ -17,6 +17,7 @@
 #include "serve/json.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
+#include "sim/tt.h"
 #include "util/errors.h"
 
 namespace bsr::serve {
@@ -42,14 +43,27 @@ std::string error_envelope(const char* category, const std::string& message) {
          "\",\"message\":\"" + analysis::json_escape(message) + "\"}";
 }
 
+// Built in one reserved string: a warm hit's cost is this copy of the
+// payload, which the reserve keeps to one allocation, the caller's trailing
+// newline included.
 std::string ok_envelope(const ModeInfo& info, bool cached, std::uint64_t key,
-                        const CacheEntry& entry) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"mode\":\"" << info.mode
-     << "\",\"cached\":" << (cached ? "true" : "false");
-  if (info.cacheable) os << ",\"key\":\"" << air::fp_hex(key) << "\"";
-  os << ",\"exit\":" << entry.exit << ",\"payload\":" << entry.body << "}";
-  return os.str();
+                        int exit, const std::string& payload) {
+  std::string out;
+  out.reserve(payload.size() + 128);
+  out += "{\"ok\":true,\"mode\":\"";
+  out += info.mode;
+  out += cached ? "\",\"cached\":true" : "\",\"cached\":false";
+  if (info.cacheable) {
+    out += ",\"key\":\"";
+    out += air::fp_hex(key);
+    out += '"';
+  }
+  out += ",\"exit\":";
+  out += std::to_string(exit);
+  out += ",\"payload\":";
+  out += payload;
+  out += '}';
+  return out;
 }
 
 // Strips the producer's single trailing newline: payloads are embedded in a
@@ -218,7 +232,8 @@ CacheEntry Service::run_lint_cold(const Json& req) {
   std::ostringstream err;
   const int code = analysis::run_lint(lo, out, err);
   if (code == 2) throw ModelError(chomp(err.str()));
-  return CacheEntry{code, chomp(out.str())};
+  return CacheEntry{code,
+                    std::make_shared<const std::string>(chomp(out.str()))};
 }
 
 CacheEntry Service::run_explore_cold(const Json& req) {
@@ -232,6 +247,7 @@ CacheEntry Service::run_explore_cold(const Json& req) {
   eo.max_steps = max_steps;
   eo.max_crashes = static_cast<int>(crashes);
   eo.threads = 1;  // deterministic and cheap: repeats come from the cache
+  eo.tt = std::make_shared<sim::TranspositionTable>(sim::kSmallTableBytes);
 
   core::Alg1Spread spread;
   sim::Explorer ex(eo);
@@ -252,7 +268,8 @@ CacheEntry Service::run_explore_cold(const Json& req) {
      << ",\"max\":" << spread.max
      << ",\"denominator\":" << core::alg1_denominator(k)
      << ",\"max_gap\":" << spread.max_gap << "}}";
-  return CacheEntry{spread.max_gap <= 1 ? 0 : 1, os.str()};
+  return CacheEntry{spread.max_gap <= 1 ? 0 : 1,
+                    std::make_shared<const std::string>(os.str())};
 }
 
 CacheEntry Service::run_doc_cold() {
@@ -260,7 +277,8 @@ CacheEntry Service::run_doc_cold() {
   analysis::write_protocol_reference(os);
   // Encoded once, here: a hit splices the cached JSON string as it is
   // instead of re-escaping the whole markdown reference.
-  return CacheEntry{0, '"' + analysis::json_escape(chomp(os.str())) + '"'};
+  return CacheEntry{0, std::make_shared<const std::string>(
+                          '"' + analysis::json_escape(chomp(os.str())) + '"')};
 }
 
 std::string Service::stats_payload() {
@@ -303,7 +321,7 @@ Service::Reply Service::dispatch(const ModeInfo& info, std::size_t mode_index,
     CacheEntry entry;
     if (cache_.lookup(key, &entry)) {
       r.hit = true;
-      r.line = ok_envelope(info, /*cached=*/true, key, entry);
+      r.line = ok_envelope(info, /*cached=*/true, key, entry.exit, *entry.body);
       return r;
     }
     if (mode == "lint") {
@@ -315,22 +333,22 @@ Service::Reply Service::dispatch(const ModeInfo& info, std::size_t mode_index,
     }
     analyses_run_.fetch_add(1, std::memory_order_acq_rel);
     cache_.insert(key, entry);
-    r.line = ok_envelope(info, /*cached=*/false, key, entry);
+    r.line = ok_envelope(info, /*cached=*/false, key, entry.exit, *entry.body);
     return r;
   }
 
-  CacheEntry entry;
+  std::string body;
   if (mode == "stats") {
-    entry.body = stats_payload();
+    body = stats_payload();
   } else if (mode == "sleep") {
     const long ms = bounded_num(req, "ms", 0, 0, kMaxSleepMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    entry.body = "{\"slept_ms\":" + std::to_string(ms) + "}";
+    body = "{\"slept_ms\":" + std::to_string(ms) + "}";
   } else {  // shutdown
     stop_.store(true, std::memory_order_release);
-    entry.body = "{\"stopping\":true}";
+    body = "{\"stopping\":true}";
   }
-  r.line = ok_envelope(info, /*cached=*/false, 0, entry);
+  r.line = ok_envelope(info, /*cached=*/false, 0, 0, body);
   return r;
 }
 

@@ -164,6 +164,12 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
   usage_check(tt == nullptr || sim.state_hashing(),
               "incremental_dfs: transposition table requires "
               "Sim::set_state_hashing");
+  // Without POR the table memoizes each node's schedule count; under POR it
+  // only deduplicates complete states.
+  TranspositionTable* const counts = opts.por ? nullptr : tt;
+  usage_check(counts == nullptr || depth_limit < 0,
+              "incremental_dfs: a transposition table cannot count the "
+              "schedules of a depth-limited search");
 
   struct Frame {
     std::vector<Choice> cs;   ///< Choices at this depth.
@@ -174,6 +180,10 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     /// sibling branches. Seeded from the parent when the frame is entered;
     /// grows by each completed child.
     std::vector<Choice> sleep;
+    /// Counting: this node's state hash, and the schedules covered when the
+    /// search entered it.
+    std::uint64_t hash = 0;
+    long covered_before = 0;
   };
   // frames[0, depth) is the current path. A frame outlives its depth: when
   // the search backs out of it, it keeps its vectors, and the next node at
@@ -181,27 +191,47 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
   // it reaches depths and widths it has not reached before.
   std::vector<Frame> frames;
   std::size_t depth = 0;
+  // Counting: frames[0, open) were entered and are not published yet; those
+  // at or past `depth` were backed out of because every remaining child was
+  // memoized.
+  std::size_t open = 0;
   std::vector<std::size_t> idx;  // chosen index per depth since the root
   // POR scratch, reused by every advance: the child's sleep set under
   // construction, and the footprints of the candidate and of one sleeper.
   std::vector<Choice> child_sleep;
   analysis::itf::Footprint cand_fp;
   analysis::itf::Footprint peer_fp;
-  long visited = 0;
+  // Schedules covered so far: leaves reached plus memoized subtree counts.
+  long covered = 0;
+  // Counting: the state just entered is claimed by a search that has not
+  // published its count yet (another worker still exploring it, or a search
+  // that stopped early). It is explored again; if complete, it counts
+  // without a visit, since its claimer visited it.
+  bool revisit = false;
+
+  // The root is claimed too, so a table shared across explore calls (or
+  // parallel jobs converging on one subtree root) memoizes whole searches.
+  if (counts != nullptr) {
+    const TranspositionTable::Claim root = counts->claim(sim.state_hash());
+    if (!root.first) {
+      if (root.count != TranspositionTable::kPending) return root.count;
+      revisit = true;
+    }
+  }
 
   const auto asleep = [](const Frame& f, const Choice& c) {
     return std::find(f.sleep.begin(), f.sleep.end(), c) != f.sleep.end();
   };
 
-  // Applies the frame's next untried choice. Without POR it skips (and
-  // immediately rewinds) any whose resulting state the transposition table
-  // has already claimed — the first visitor of a state explores its whole
-  // subtree before backtracking, so a repeat can only be a reconvergence,
-  // never a state still on the current path (histories grow monotonically
-  // along it). Under POR it skips sleeping choices instead (their
-  // interleavings commute into branches explored elsewhere). Returns false
-  // when every remaining sibling was pruned, asleep, or exhausted, in which
-  // case the frame holds no applied choice.
+  // Applies the frame's next untried choice. When counting, a child whose
+  // state the table holds with a published count adds that count and is
+  // rewound at once: its subtree was explored before (the first visitor of
+  // a state explores its whole subtree before publishing, and a repeat can
+  // never be a state still on the current path — histories grow
+  // monotonically along it). Under POR it skips sleeping choices instead
+  // (their interleavings commute into branches explored elsewhere). Returns
+  // false when every remaining sibling was memoized, asleep, or exhausted,
+  // in which case the frame holds no applied choice.
   const auto advance = [&](Frame& f) {
     while (f.next < f.cs.size()) {
       const Choice& c = f.cs[f.next];
@@ -233,12 +263,21 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
         cursor.crashes += 1;
       }
       cursor.schedule.push_back(c);
-      if (tt != nullptr && !opts.por && !tt->first_visit(sim.state_hash())) {
-        sim.rewind(1);
-        cursor.schedule.pop_back();
-        cursor.crashes = f.crashes_before;
-        cursor.steps = f.steps_before;
-        continue;
+      if (counts != nullptr) {
+        const TranspositionTable::Claim claim =
+            counts->claim(sim.state_hash());
+        if (!claim.first) {
+          if (claim.count == TranspositionTable::kPending) {
+            revisit = true;
+          } else {
+            add_schedules(covered, claim.count);
+            sim.rewind(1);
+            cursor.schedule.pop_back();
+            cursor.crashes = f.crashes_before;
+            cursor.steps = f.steps_before;
+            continue;
+          }
+        }
       }
       if (opts.por) cursor.sleep.swap(child_sleep);
       return true;
@@ -249,23 +288,14 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
   while (true) {
     // Descend greedily along first surviving choices until a leaf: a
     // complete state (no legal choices) or the depth limit. A node all of
-    // whose children prune is no leaf — its subtree's leaves were all
-    // visited earlier — so fall through to backtracking without counting.
-    // Under POR the table sees complete states only: a reduced visit
-    // explores an interior node's subtree only in part, so nothing short
-    // of a final configuration may be claimed, and a repeated one is no
-    // leaf either.
+    // whose children are memoized is no leaf — their schedules are already
+    // covered — so fall through to backtracking.
     bool at_leaf = true;
     while (depth_limit < 0 || static_cast<long>(depth) < depth_limit) {
       if (depth == frames.size()) frames.emplace_back();
       Frame& f = frames[depth];
       legal_choices(sim, cursor.crashes, opts, f.cs);
-      if (f.cs.empty()) {
-        if (tt != nullptr && opts.por) {
-          at_leaf = tt->first_visit(sim.state_hash());
-        }
-        break;
-      }
+      if (f.cs.empty()) break;
       usage_check(cursor.steps < opts.max_steps,
                   "Explorer: execution exceeded max_steps; "
                   "protocol may not terminate");
@@ -277,6 +307,12 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
       f.sleep.swap(cursor.sleep);
       cursor.sleep.clear();
       ++depth;
+      if (counts != nullptr) {
+        f.hash = sim.state_hash();
+        f.covered_before = covered;
+        open = depth;
+        revisit = false;
+      }
       idx.push_back(0);
       if (!advance(f)) {
         --depth;
@@ -287,8 +323,16 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     }
 
     if (at_leaf) {
-      ++visited;
-      if (leaf(sim, cursor.schedule, idx)) return visited;
+      add_schedules(covered, 1);
+      // With a table each final configuration is visited once. Under POR the
+      // table sees complete states only, and a repeated one counts without a
+      // visit.
+      bool visit = true;
+      if (tt != nullptr) {
+        visit = opts.por ? tt->claim(sim.state_hash()).first : !revisit;
+        revisit = false;
+      }
+      if (visit && leaf(sim, cursor.schedule, idx)) return covered;
     }
 
     // Backtrack: the deepest frame with an untried sibling that survives
@@ -296,7 +340,14 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     while (true) {
       std::size_t t = depth;
       while (t > 0 && frames[t - 1].next >= frames[t - 1].cs.size()) --t;
-      if (t == 0) return visited;
+      // Every node below frame t - 1 is fully explored: publish its count.
+      if (counts != nullptr) {
+        for (; open > t; --open) {
+          const Frame& done = frames[open - 1];
+          counts->publish(done.hash, covered - done.covered_before);
+        }
+      }
+      if (t == 0) return covered;
 
       // Rewind the world from the current depth to that frame's state, then
       // take the sibling. This is the incremental-backtracking core: only
@@ -342,12 +393,6 @@ long Explorer::explore_until(const Factory& make,
 long Explorer::explore_serial(const Factory& make,
                               const StoppingVisitor& visit) const {
   std::unique_ptr<Sim> sim = detail::fresh_sim(make, opts_);
-  // Without POR, claim the root state too, so a table shared across
-  // explore calls memoizes whole repeated searches.
-  if (opts_.tt != nullptr && !opts_.por &&
-      !opts_.tt->first_visit(sim->state_hash())) {
-    return 0;
-  }
   detail::DfsCursor cursor;
   return detail::incremental_dfs(
       *sim, opts_, -1, cursor,

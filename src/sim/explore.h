@@ -28,6 +28,7 @@
 #include "analysis/static/interference.h"
 #include "sim/sched.h"
 #include "sim/sim.h"
+#include "util/errors.h"
 
 namespace bsr::sim {
 
@@ -47,20 +48,23 @@ struct ExploreOptions {
   /// parallel engine, which serializes visitor calls through a mutex.
   int threads = 0;
   /// State-space memoization: when set, the engine maintains a Zobrist hash
-  /// of the world (Sim::set_state_hashing) and prunes any search-tree node
-  /// whose state — registers, coroutine histories, channels, crashes, AND
-  /// collected violations — was reached before, consulting this table.
-  /// Under `por` it consults the table at complete states only, so it
-  /// deduplicates final configurations instead of pruning subtrees. The
-  /// table is shared across parallel workers (and may be shared across
-  /// explore calls to memoize between them). Under memoization the visitor
-  /// runs once per *distinct* final configuration and the returned count is
-  /// the number of distinct final configurations, not of schedules; the
-  /// set of final states and collected violations is exactly that of the
-  /// unpruned search as long as the table reports no drops. `explore_until`
-  /// early stops remain correct but may leave memoized-but-unfinished
-  /// states in a shared table, so reuse the table across calls only with
-  /// plain `explore`.
+  /// of the world (Sim::set_state_hashing) and claims each search-tree node's
+  /// state — registers, coroutine histories, channels, crashes, AND
+  /// collected violations — in this table. When it backs out of a node it
+  /// publishes the number of schedules below it; when it reaches a claimed
+  /// state again it adds that count instead of exploring the subtree again.
+  /// The table never changes the returned count, only the work done and the
+  /// number of visitor calls: the visitor runs once per *distinct* final
+  /// configuration (the first schedule in DFS order that reaches it, when
+  /// serial), and the set of final states and collected violations is
+  /// exactly that of the search without a table as long as the table reports
+  /// no drops. Under `por` it consults the table at complete states only, so
+  /// it deduplicates final configurations: a repeated one counts without a
+  /// visit. The table is shared across parallel workers (a worker that meets
+  /// a state another one is still exploring explores it again) and may be
+  /// shared across explore calls: a repeated search returns the first one's
+  /// count without visiting. `explore_until` early stops leave the states
+  /// they were inside unpublished, which a later search explores again.
   std::shared_ptr<TranspositionTable> tt;
   /// Sleep-set partial-order reduction (off by default). At each search
   /// node the engine skips any choice provably independent — via the
@@ -70,12 +74,12 @@ struct ExploreOptions {
   /// into one explored earlier. The reduction preserves the exact set of
   /// reachable final configurations and of collected violations (the
   /// search tree is acyclic: result histories grow along every path), so
-  /// violation findings are bit-identical to the unreduced search; without
-  /// `tt` the visited-execution count shrinks to one representative per
-  /// commutation class. Composes with `tt`: the table then sees only
-  /// complete states (a reduced visit explores an interior node's subtree
-  /// only in part, so no interior node is claimed), and the count is the
-  /// number of distinct final configurations.
+  /// violation findings are bit-identical to the unreduced search; the
+  /// returned count shrinks to one representative schedule per commutation
+  /// class. Composes with `tt`: the table then sees only complete states (a
+  /// reduced visit explores an interior node's subtree only in part, so no
+  /// interior node is claimed), the count stays the reduced search's, and
+  /// the visitor runs once per distinct final configuration.
   bool por = false;
 };
 
@@ -92,12 +96,14 @@ class Explorer {
   /// subtree job; must be deterministic.
   using Factory = std::function<std::unique_ptr<Sim>()>;
   /// Called on every complete execution (a state with no enabled process),
-  /// with the final Sim and the schedule that produced it.
+  /// with the final Sim and the schedule that produced it; with
+  /// ExploreOptions::tt, once per distinct final configuration.
   using Visitor = std::function<void(Sim&, const std::vector<Choice>&)>;
 
   explicit Explorer(ExploreOptions opts) : opts_(opts) {}
 
-  /// Runs the DFS; returns the number of complete executions visited.
+  /// Runs the DFS; returns the number of schedules (complete executions),
+  /// which the visitor sees all of only without ExploreOptions::tt.
   long explore(const Factory& make, const Visitor& visit) const;
 
   /// Like explore, but the visitor may stop the search by returning true.
@@ -155,6 +161,14 @@ void choice_footprint(const Sim& sim, const Choice& c,
 [[nodiscard]] std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
                                              const ExploreOptions& opts);
 
+/// Adds `n` schedules to the running count `total`. Memoized counts grow
+/// exponentially with the depth, so a total past the range of `long` is a
+/// UsageError, never a wrap.
+inline void add_schedules(long& total, long n) {
+  usage_check(!__builtin_add_overflow(total, n, &total),
+              "Explorer: more than 2^63 - 1 schedules to count");
+}
+
 /// Leaf callback of `incremental_dfs`: receives the Sim in the leaf state,
 /// the full schedule, and the per-depth choice indices taken since the DFS
 /// root. Return true to stop the search.
@@ -162,15 +176,20 @@ using DfsLeafFn = std::function<bool(
     Sim&, const std::vector<Choice>&, const std::vector<std::size_t>&)>;
 
 /// Depth-first search from the Sim's *current* state using incremental
-/// backtracking (requires sim.checkpointing()). Visits every node that is
+/// backtracking (requires sim.checkpointing()). Reaches every node that is
 /// complete (no legal choices) or — when depth_limit >= 0 — at exactly
 /// `depth_limit` choices below the root, calling `leaf` for each; returns
-/// the number of leaves visited. Enforces opts.max_steps.
-/// With opts.tt set (requires sim.state_hashing()), every applied choice is
-/// claimed in the table and already-claimed states are pruned on entry;
-/// under opts.por only complete states are claimed, and a repeated one is
-/// not a leaf. The engines never combine tt with a depth limit (pruning a
-/// frontier node would hide the subtree behind it from the job partition).
+/// the number of schedules covered. Enforces opts.max_steps.
+/// With opts.tt set (requires sim.state_hashing()) and no POR, the root and
+/// every applied choice are claimed in the table, each frame records its
+/// node's hash and the count covered when it was entered, and the count of
+/// every node backed out of is published. A claimed state with a published
+/// count adds it and is not entered; one still pending (claimed by a search
+/// that has not backed out of it) is explored again, and if complete counts
+/// 1 without calling `leaf`. Under opts.por only complete states are
+/// claimed, and a repeated one counts 1 without calling `leaf`. A table
+/// cannot be combined with a depth limit without POR (UsageError): a cut
+/// subtree has no count to publish.
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
                      DfsCursor& cursor, const DfsLeafFn& leaf);
 

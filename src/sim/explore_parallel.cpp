@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/tt.h"
 #include "util/errors.h"
 
 namespace bsr::sim {
@@ -31,7 +30,7 @@ struct Job {
 
 /// What one job's subtree contributed, merged in canonical order afterwards.
 struct JobOutcome {
-  long count = 0;                ///< Executions visited (in subtree order).
+  long count = 0;                ///< Schedules covered (in subtree order).
   bool stopped = false;          ///< The stopping visitor returned true.
   std::exception_ptr error;      ///< Exception thrown while exploring.
 };
@@ -167,22 +166,17 @@ long ParallelExplorer::explore_until(const Factory& make,
       cursor.schedule.push_back(c);
     }
     cursor.sleep = job.sleep;
-    // Without POR, claim the subtree root: distinct frontier prefixes can
-    // converge on one state, and whichever job claims it first owns the
-    // whole subtree. Under POR the table sees complete states only, which
-    // incremental_dfs claims.
-    if (opts_.tt != nullptr && !opts_.por &&
-        !opts_.tt->first_visit(sim->state_hash())) {
-      return;
-    }
-    detail::incremental_dfs(
+    // Distinct frontier prefixes can converge on one state: the DFS claims
+    // its root, so a job whose root another job has already counted adds
+    // that count, and one whose root is still being explored explores it
+    // again (time, never exactness).
+    out.count = detail::incremental_dfs(
         *sim, opts_, -1, cursor,
         [&](Sim& s, const std::vector<Choice>& schedule,
             const std::vector<std::size_t>&) {
           if (barrier.load(std::memory_order_acquire) < j) {
             return true;  // abandoned: a canonically-earlier job stopped
           }
-          out.count += 1;
           bool stop;
           {
             const std::lock_guard<std::mutex> lk(visit_mu);
@@ -219,7 +213,7 @@ long ParallelExplorer::explore_until(const Factory& make,
   long merged = 0;
   for (const JobOutcome& o : outcomes) {
     if (o.error != nullptr) std::rethrow_exception(o.error);
-    merged += o.count;
+    detail::add_schedules(merged, o.count);
     if (o.stopped) return merged;
   }
   return merged;

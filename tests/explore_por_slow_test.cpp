@@ -1,6 +1,6 @@
 // Full-registry differential: sleep-set partial-order reduction vs the
 // ReplayExplorer oracle on EVERY terminating registry protocol, alone and
-// composed with transposition-table pruning. The fast smoke subset of the
+// composed with transposition-table deduplication. The fast smoke subset of the
 // same properties lives in explore_por_test.cpp; this sweep carries the
 // `slow` ctest label.
 //
@@ -8,10 +8,10 @@
 //   * POR alone visits at most as many schedules as the full search and
 //     reaches exactly the same final-configuration set and the same
 //     violation findings (bit-identical keys, not just kinds);
-//   * POR + TT visits exactly one schedule per distinct final
-//     configuration — the same count TT alone reports — with zero drops;
-//     the table sees complete states only, so it probes once per POR-only
-//     leaf, serial and parallel alike.
+//   * POR + TT returns the POR-only count and visits exactly one schedule
+//     per distinct final configuration, with zero drops; the table sees
+//     complete states only, so it probes once per POR-only leaf, serial and
+//     parallel alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,9 +67,9 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       por_leaves = por.count;
     }
 
-    // POR + TT: exactly one visit per distinct final configuration (the
-    // table deduplicates the reduced search's leaves), same finals, same
-    // findings.
+    // POR + TT: the POR-only count, exactly one visit per distinct final
+    // configuration (the table deduplicates the reduced search's leaves),
+    // same finals, same findings.
     TranspositionTable::Stats serial_stats;
     {
       auto tt = std::make_shared<TranspositionTable>(std::size_t{16} << 20);
@@ -84,11 +84,12 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
           });
       serial_stats = tt->stats();
       ASSERT_EQ(serial_stats.drops, 0);
-      EXPECT_EQ(both.count, static_cast<long>(oracle.finals.size()));
+      EXPECT_EQ(both.count, por_leaves);
+      EXPECT_EQ(both.visits, static_cast<long>(oracle.finals.size()));
       EXPECT_EQ(both.finals, oracle.finals);
       EXPECT_EQ(both.violations, oracle.violations);
       EXPECT_EQ(serial_stats.probes, por_leaves);
-      EXPECT_EQ(serial_stats.stores, both.count);
+      EXPECT_EQ(serial_stats.stores, both.visits);
       EXPECT_EQ(serial_stats.hits, serial_stats.probes - serial_stats.stores);
     }
 
@@ -101,14 +102,16 @@ TEST(ExplorePorSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       opts.por = true;
       opts.tt = tt;
       opts.threads = 4;
-      long count = 0;
+      long visits = 0;
       std::set<std::uint64_t> finals;
-      count = Explorer(opts).explore(
+      const long count = Explorer(opts).explore(
           make, [&](Sim& sim, const std::vector<Choice>&) {
+            ++visits;
             finals.insert(sim.state_hash());
           });
       ASSERT_EQ(tt->stats().drops, 0);
-      EXPECT_EQ(count, static_cast<long>(oracle.finals.size()));
+      EXPECT_EQ(count, por_leaves);
+      EXPECT_EQ(visits, static_cast<long>(oracle.finals.size()));
       EXPECT_EQ(finals, oracle.finals);
       EXPECT_EQ(tt->stats().probes, serial_stats.probes);
       EXPECT_EQ(tt->stats().hits, serial_stats.hits);

@@ -6,11 +6,11 @@
 // of every sibling already explored at the same node. The skipped
 // interleavings commute, step by step, into ones explored earlier, so the
 // SET of reachable final configurations and of collected violations is
-// exactly that of the unreduced search; without a transposition table the
-// visited-execution count shrinks to one representative per commutation
-// class, and with one it stays equal to the number of distinct final
-// configurations (the table then sees complete states only, so it
-// deduplicates the reduced search's leaves). All of this is checked here
+// exactly that of the unreduced search, and the returned count shrinks to
+// one representative per commutation class. A transposition table leaves
+// that count alone: it sees complete states only, so it deduplicates the
+// reduced search's leaves and the visitor runs once per distinct final
+// configuration. All of this is checked here
 // against the ReplayExplorer oracle, which knows nothing about footprints,
 // sleeping, or hashing; the full-registry sweep of the same properties
 // carries the `slow` label (explore_por_slow_test.cpp).
@@ -201,7 +201,8 @@ TEST(ExplorePor, PreservesChannelSemanticsOnRecvRace) {
   EXPECT_EQ(por.finals, oracle.finals);
   const Observed por_tt = por_tt_run(make_recv_race, opts);
   EXPECT_EQ(por_tt.finals, oracle.finals);
-  EXPECT_EQ(por_tt.count, static_cast<long>(oracle.finals.size()));
+  EXPECT_EQ(por_tt.count, por.count);
+  EXPECT_EQ(por_tt.visits, static_cast<long>(oracle.finals.size()));
 }
 
 TEST(ExplorePor, ComposedWithTtStillCountsDistinctFinalConfigurations) {
@@ -211,7 +212,8 @@ TEST(ExplorePor, ComposedWithTtStillCountsDistinctFinalConfigurations) {
     const Observed por = por_run(*factory, ExploreOptions{});
     TranspositionTable::Stats stats;
     const Observed por_tt = por_tt_run(*factory, ExploreOptions{}, 1, &stats);
-    EXPECT_EQ(por_tt.count, static_cast<long>(oracle.finals.size()));
+    EXPECT_EQ(por_tt.count, por.count);
+    EXPECT_EQ(por_tt.visits, static_cast<long>(oracle.finals.size()));
     EXPECT_EQ(por_tt.finals, oracle.finals);
     EXPECT_EQ(por_tt.violations, oracle.violations);
     expect_leaf_only_table(stats, por.count, oracle.finals.size());
@@ -226,7 +228,8 @@ TEST(ExplorePor, CrashChoicesStayExactUnderReduction) {
   EXPECT_EQ(por.finals, oracle.finals);
   EXPECT_LE(por.count, oracle.count);
   const Observed por_tt = por_tt_run(make_pair_sim, opts);
-  EXPECT_EQ(por_tt.count, static_cast<long>(oracle.finals.size()));
+  EXPECT_EQ(por_tt.count, por.count);
+  EXPECT_EQ(por_tt.visits, static_cast<long>(oracle.finals.size()));
   EXPECT_EQ(por_tt.finals, oracle.finals);
 }
 
@@ -236,12 +239,15 @@ TEST(ExplorePor, ParallelEngineExploresTheSameReducedTree) {
     TranspositionTable::Stats serial_stats;
     const Observed serial =
         por_tt_run(*factory, ExploreOptions{}, 1, &serial_stats);
+    EXPECT_EQ(serial.count, por.count);
+    EXPECT_EQ(serial.visits, static_cast<long>(serial.finals.size()));
     expect_leaf_only_table(serial_stats, por.count, serial.finals.size());
     for (int threads : {2, 4}) {
       TranspositionTable::Stats par_stats;
       const Observed par =
           por_tt_run(*factory, ExploreOptions{}, threads, &par_stats);
       EXPECT_EQ(par.count, serial.count);
+      EXPECT_EQ(par.visits, serial.visits);
       EXPECT_EQ(par.finals, serial.finals);
       EXPECT_EQ(counters(par_stats), counters(serial_stats))
           << threads << " threads";

@@ -1,7 +1,7 @@
-// Full-registry differential: transposition-table pruning vs the
-// ReplayExplorer oracle on EVERY terminating registry protocol. The fast
-// smoke subset of the same properties lives in explore_tt_test.cpp; this
-// sweep carries the `slow` ctest label.
+// Full-registry differential: schedule counting through the transposition
+// table vs the ReplayExplorer oracle on EVERY terminating registry protocol.
+// The fast smoke subset of the same properties lives in explore_tt_test.cpp;
+// this sweep carries the `slow` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,16 @@
 #include "analysis/static/ir.h"
 #include "analysis/static/steps.h"
 #include "core/alg1.h"
+#include "core/alg2.h"
 #include "core/sec7.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
+#include "sim/zobrist.h"
 #include "support/replay_explorer.h"
+#include "tasks/approx.h"
+#include "tasks/explicit_task.h"
+#include "topo/bmz.h"
 #include "util/value.h"
 
 namespace bsr::sim {
@@ -36,8 +41,8 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
     // states collapsed by the from-scratch hash oracle.
     const Observed oracle = replay_oracle(make, spec.explore);
 
-    // Pruned search: one visit per distinct state, same finals, same
-    // violation findings.
+    // Counted search: the oracle's schedule count, one visit per distinct
+    // final state, same finals, same violation findings.
     {
       auto tt = std::make_shared<TranspositionTable>(std::size_t{16} << 20);
       ExploreOptions opts = spec.explore;
@@ -49,11 +54,73 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
             pruned.record(sim, sim.state_hash());
           });
       ASSERT_EQ(tt->stats().drops, 0);
-      EXPECT_EQ(pruned.count, static_cast<long>(oracle.finals.size()));
+      EXPECT_EQ(pruned.count, oracle.count);
+      EXPECT_EQ(pruned.visits, static_cast<long>(oracle.finals.size()));
       EXPECT_EQ(pruned.finals, oracle.finals);
       EXPECT_EQ(pruned.violations, oracle.violations);
-      EXPECT_LE(pruned.count, oracle.count);
     }
+  }
+}
+
+// The schedule counts the benchmark's explore-bounded workload pins by
+// plain enumeration: the counted search returns the same number, and its
+// visits reach the same final states as the enumeration's.
+TEST(ExploreTTSlow, CountsTheBenchmarksEnumeratedInstances) {
+  const tasks::ApproxAgreement aa(2, 3);
+  std::vector<Value> domain;
+  for (std::uint64_t v = 0; v <= 3; ++v) domain.emplace_back(v);
+  const topo::Bmz2Plan plan =
+      topo::Bmz2(tasks::materialize(aa, domain)).plan();
+  struct Case {
+    const char* name;
+    long schedules;
+    ExploreOptions opts;
+    Explorer::Factory make;
+  };
+  const auto alg1 = [](std::uint64_t k) {
+    return [k] {
+      auto sim = std::make_unique<Sim>(2);
+      core::install_alg1(*sim, k, {0, 1});
+      return sim;
+    };
+  };
+  const std::vector<Case> cases = {
+      {"alg1-k4", 73'738, ExploreOptions{.max_steps = 1000}, alg1(4)},
+      {"alg1-k5", 295'178, ExploreOptions{.max_steps = 1000}, alg1(5)},
+      {"alg2-aa23-crashes1", 542'382,
+       ExploreOptions{.max_steps = 500, .max_crashes = 1},
+       [&plan] {
+         auto sim = std::make_unique<Sim>(2);
+         core::install_alg2(*sim, plan, {Value(0), Value(1)});
+         return sim;
+       }}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExploreOptions opts = c.opts;
+    opts.threads = 1;
+    Observed plain;
+    plain.count = Explorer(opts).explore(
+        [&c] {
+          auto sim = c.make();
+          sim->set_checkpointing(true);  // full_hash reads the result logs
+          return sim;
+        },
+        [&](Sim& sim, const std::vector<Choice>&) {
+          plain.record(sim, zobrist::full_hash(sim));
+        });
+    EXPECT_EQ(plain.count, c.schedules);
+
+    auto tt = std::make_shared<TranspositionTable>(kSmallTableBytes);
+    opts.tt = tt;
+    Observed counted;
+    counted.count = Explorer(opts).explore(
+        c.make, [&](Sim& sim, const std::vector<Choice>&) {
+          counted.record(sim, sim.state_hash());
+        });
+    ASSERT_EQ(tt->stats().drops, 0);
+    EXPECT_EQ(counted.count, c.schedules);
+    EXPECT_EQ(counted.visits, static_cast<long>(plain.finals.size()));
+    EXPECT_EQ(counted.finals, plain.finals);
   }
 }
 

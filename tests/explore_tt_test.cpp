@@ -1,14 +1,17 @@
-// Differential tests for transposition-table pruning (sim/tt.h).
+// Differential tests for schedule counting through the transposition table
+// (sim/tt.h).
 //
-// Semantics under a TT: the explorer visits each distinct reachable world
-// state exactly once, so the leaf count equals the number of distinct final
-// configurations (not schedules), and the SET of final states / violations
-// is identical to the unpruned search — checked here against the
-// ReplayExplorer oracle, which knows nothing about hashing or rewinding.
+// Semantics under a TT: the explorer expands each distinct reachable world
+// state once and adds a revisited state's memoized schedule count, so the
+// returned count is the ReplayExplorer oracle's schedule count, the visitor
+// runs once per distinct final configuration, and the SET of final states /
+// violations is identical to the search without a table — checked here
+// against the oracle, which knows nothing about hashing or rewinding.
 // ExploreTTOracle runs the same differential on Algorithm 1 in each table
 // configuration of `bsr explore`.
-// All exactness claims require stats().drops == 0 (a full probe window
-// falls back to exploring, which is sound but double-counts).
+// The one-visit claims require stats().drops == 0 (a full probe window
+// falls back to exploring, which keeps the count exact but may visit a
+// final configuration again).
 #include "sim/tt.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include "sim/sim.h"
 #include "sim/zobrist.h"
 #include "support/replay_explorer.h"
+#include "util/errors.h"
 
 namespace bsr::sim {
 namespace {
@@ -100,17 +104,21 @@ Observed tt_run(const Explorer::Factory& make, ExploreOptions opts,
 
 TEST(ExploreTT, FirstVisitClaimsEachHashOnce) {
   TranspositionTable tt(std::size_t{1} << 16);
-  EXPECT_TRUE(tt.first_visit(42));
-  EXPECT_FALSE(tt.first_visit(42));
-  EXPECT_TRUE(tt.first_visit(0));  // zero remaps to a sentinel, still works
-  EXPECT_FALSE(tt.first_visit(0));
-  EXPECT_TRUE(tt.first_visit(7));
+  EXPECT_TRUE(tt.claim(42).first);
+  const TranspositionTable::Claim again = tt.claim(42);
+  EXPECT_FALSE(again.first);
+  EXPECT_EQ(again.count, TranspositionTable::kPending);  // not published yet
+  tt.publish(42, 20);
+  EXPECT_EQ(tt.claim(42).count, 20);
+  EXPECT_TRUE(tt.claim(0).first);  // zero remaps to a sentinel, still works
+  EXPECT_FALSE(tt.claim(0).first);
+  EXPECT_TRUE(tt.claim(7).first);
   const TranspositionTable::Stats s = tt.stats();
-  EXPECT_EQ(s.probes, 5);
+  EXPECT_EQ(s.probes, 6);
   EXPECT_EQ(s.stores, 3);
-  EXPECT_EQ(s.hits, 2);
+  EXPECT_EQ(s.hits, 3);
   EXPECT_EQ(s.drops, 0);
-  EXPECT_GE(s.slots * 8, std::size_t{1} << 16);
+  EXPECT_GE(s.slots * TranspositionTable::kSlotBytes, std::size_t{1} << 16);
 }
 
 // Colliding hashes spill along the probe window, wrap past the last slot,
@@ -130,13 +138,22 @@ TEST(ExploreTT, FirstVisitClaimsAcrossCollisionsAndDropsAFullWindow) {
   for (std::uint64_t tag = 1; tag <= 4; ++tag) claimed.push_back(at(5, tag));
   for (std::uint64_t tag = 1; tag <= 3; ++tag) claimed.push_back(at(1023, tag));
   for (std::uint64_t tag = 1; tag <= 16; ++tag) claimed.push_back(at(100, tag));
-  for (const std::uint64_t h : claimed) ASSERT_TRUE(tt.first_visit(h)) << h;
-  for (const std::uint64_t h : claimed) EXPECT_FALSE(tt.first_visit(h)) << h;
+  for (const std::uint64_t h : claimed) ASSERT_TRUE(tt.claim(h).first) << h;
+  // Each hash's count lands in its own slot, wherever it spilled to.
+  for (std::size_t i = 0; i < claimed.size(); ++i) {
+    tt.publish(claimed[i], static_cast<long>(i) + 1);
+  }
+  for (std::size_t i = 0; i < claimed.size(); ++i) {
+    const TranspositionTable::Claim c = tt.claim(claimed[i]);
+    EXPECT_FALSE(c.first) << claimed[i];
+    EXPECT_EQ(c.count, static_cast<long>(i) + 1) << claimed[i];
+  }
 
   // A seventeenth hash for home 100 finds no free slot: dropped, so it is
-  // "first" every time it is asked.
-  EXPECT_TRUE(tt.first_visit(at(100, 99)));
-  EXPECT_TRUE(tt.first_visit(at(100, 99)));
+  // "first" every time it is asked, and publishing its count is ignored.
+  EXPECT_TRUE(tt.claim(at(100, 99)).first);
+  tt.publish(at(100, 99), 5);
+  EXPECT_TRUE(tt.claim(at(100, 99)).first);
 
   const TranspositionTable::Stats s = tt.stats();
   const long n = static_cast<long>(claimed.size());
@@ -162,14 +179,16 @@ TEST(ExploreTT, PrunesToDistinctFinalStatesOnPairRace) {
   EXPECT_EQ(oracle.finals.size(), 3u);
 
   const Observed tt = tt_run(make_pair_sim, ExploreOptions{});
-  EXPECT_EQ(tt.count, 3);
+  EXPECT_EQ(tt.count, oracle.count);
+  EXPECT_EQ(tt.visits, 3);
   EXPECT_EQ(tt.finals, oracle.finals);
 }
 
 TEST(ExploreTT, PreservesChannelStatesOnRecvRace) {
   const Observed oracle = replay_oracle(make_recv_race, ExploreOptions{});
   const Observed tt = tt_run(make_recv_race, ExploreOptions{});
-  EXPECT_EQ(tt.count, static_cast<long>(oracle.finals.size()));
+  EXPECT_EQ(tt.count, oracle.count);
+  EXPECT_EQ(tt.visits, static_cast<long>(oracle.finals.size()));
   EXPECT_EQ(tt.finals, oracle.finals);
 }
 
@@ -183,7 +202,8 @@ TEST(ExploreTT, ConvergedStatesWithDistinctViolationBlameAreKept) {
   ASSERT_EQ(oracle.violations.size(), 2u);
 
   const Observed tt = tt_run(make_write_once_race, ExploreOptions{});
-  EXPECT_EQ(tt.count, 2);
+  EXPECT_EQ(tt.count, oracle.count);
+  EXPECT_EQ(tt.visits, 2);
   EXPECT_EQ(tt.finals, oracle.finals);
   EXPECT_EQ(tt.violations, oracle.violations);
 }
@@ -192,11 +212,13 @@ TEST(ExploreTT, ParallelCountMatchesSerialCount) {
   const Observed serial = tt_run(make_pair_sim, ExploreOptions{});
   const Observed par = tt_run(make_pair_sim, ExploreOptions{}, 4);
   EXPECT_EQ(par.count, serial.count);
+  EXPECT_EQ(par.visits, serial.visits);
   EXPECT_EQ(par.finals, serial.finals);
 
   const Observed serial2 = tt_run(make_recv_race, ExploreOptions{});
   const Observed par2 = tt_run(make_recv_race, ExploreOptions{}, 4);
   EXPECT_EQ(par2.count, serial2.count);
+  EXPECT_EQ(par2.visits, serial2.visits);
   EXPECT_EQ(par2.finals, serial2.finals);
 }
 
@@ -205,14 +227,41 @@ TEST(ExploreTT, SharedTableMemoizesWholeRepeatedSearches) {
   ExploreOptions opts;
   opts.tt = tt;
   const Explorer ex(opts);
-  const long first = ex.explore(make_pair_sim,
-                                [](Sim&, const std::vector<Choice>&) {});
-  EXPECT_EQ(first, 3);
-  // Same factory, same table: the root state is already claimed, so the
-  // whole search is pruned at depth zero.
-  const long second = ex.explore(make_pair_sim,
-                                 [](Sim&, const std::vector<Choice>&) {});
-  EXPECT_EQ(second, 0);
+  long visits = 0;
+  const auto count_visits = [&visits](Sim&, const std::vector<Choice>&) {
+    ++visits;
+  };
+  const long first = ex.explore(make_pair_sim, count_visits);
+  EXPECT_EQ(first, 20);
+  EXPECT_EQ(visits, 3);
+  // Same factory, same table: the root state's count is already published,
+  // so the whole search is answered at depth zero, without a visit.
+  visits = 0;
+  const long second = ex.explore(make_pair_sim, count_visits);
+  EXPECT_EQ(second, 20);
+  EXPECT_EQ(visits, 0);
+}
+
+// Memoized counts grow exponentially with the depth: Algorithm 1 at k = 32
+// with two crashes has more than 2^63 schedules, which must be an error in
+// both engines, never a wrapped count.
+TEST(ExploreTT, CountPastTheRangeOfLongIsAnError) {
+  const auto make = [] {
+    auto sim = std::make_unique<Sim>(2);
+    core::install_alg1(*sim, 32, {0, 1});
+    return sim;
+  };
+  for (const int threads : {1, 4}) {
+    ExploreOptions opts;
+    opts.max_steps = 1000;
+    opts.max_crashes = 2;
+    opts.threads = threads;
+    opts.tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
+    EXPECT_THROW(
+        Explorer(opts).explore(make, [](Sim&, const std::vector<Choice>&) {}),
+        UsageError)
+        << threads << " threads";
+  }
 }
 
 struct Alg1Config {
@@ -229,9 +278,11 @@ void PrintTo(const Alg1Config& c, std::ostream* os) { *os << c.name; }
 
 class ExploreTTOracle : public ::testing::TestWithParam<Alg1Config> {};
 
-// Algorithm 1 under the table, alone or with POR, serial or parallel: one
-// visit per distinct final state of the replay oracle's, the same final
-// states and decision spread, the paper's gap bound, and no dropped insert.
+// Algorithm 1 under the table, alone or with POR, serial or parallel: the
+// count of the same search without a table (the oracle's schedule count, or
+// under POR the reduced search's), one visit per distinct final state of the
+// replay oracle's, the same final states and decision spread, the paper's
+// gap bound, and no dropped insert.
 TEST_P(ExploreTTOracle, MatchesReplayOracle) {
   const Alg1Config& c = GetParam();
   const auto make = [k = c.k] {
@@ -249,12 +300,20 @@ TEST_P(ExploreTTOracle, MatchesReplayOracle) {
       });
 
   opts.por = c.por;
+  long expected = oracle.count;
+  if (c.por) {
+    ExploreOptions plain = opts;
+    plain.threads = 1;
+    expected = Explorer(plain).explore(make,
+                                       [](Sim&, const std::vector<Choice>&) {});
+  }
   core::Alg1Spread got;
   const Observed pruned = tt_run(
       make, opts, c.threads,
       [&](Sim& sim, const std::vector<Choice>&) { got.record(sim); });
   EXPECT_EQ(pruned.finals, oracle.finals);
-  EXPECT_EQ(pruned.count, static_cast<long>(oracle.finals.size()));
+  EXPECT_EQ(pruned.count, expected);
+  EXPECT_EQ(pruned.visits, static_cast<long>(oracle.finals.size()));
   EXPECT_EQ(got, want);
   EXPECT_LE(got.max_gap, 1u);
 }
@@ -270,21 +329,27 @@ INSTANTIATE_TEST_SUITE_P(
                       Alg1Config{"k2_crashes1_por", 2, 1, true, 0},
                       Alg1Config{"k3_por", 3, 0, true, 0}));
 
-// Raw concurrency stress: many threads race first_visit over overlapping
-// value streams; exactly one thread must win each distinct value, and after
-// the join every claimed value must be found again. Run under TSan in CI
-// (the suite name matches the Explore filter there).
+// Raw concurrency stress: many threads race claims over overlapping value
+// streams, and each winner publishes the value's count right after its
+// claim. Exactly one thread must win each distinct value; every hit must see
+// either kPending or the published count; after the join every claimed value
+// must be found again with its count. Run under TSan in CI (the suite name
+// matches the Explore filter there).
 TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kValues = 20000;
-  TranspositionTable tt(std::size_t{4} << 20);  // ~26x headroom: no drops
+  TranspositionTable tt(std::size_t{8} << 20);  // ~26x headroom: no drops
+  const auto count_of = [](std::uint64_t v) {
+    return static_cast<long>(v) + 1;
+  };
   std::vector<std::atomic<int>> wins(kValues);
   for (auto& w : wins) w.store(0, std::memory_order_relaxed);
+  std::atomic<long> torn{0};
   {
     std::vector<std::jthread> pool;
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&tt, &wins, t] {
+      pool.emplace_back([&, t] {
         // Each thread walks the values from a different offset so the
         // races spread over the whole table.
         for (std::uint64_t i = 0; i < kValues; ++i) {
@@ -292,18 +357,26 @@ TEST(ExploreTTStress, ConcurrentFirstVisitClaimsEachValueOnce) {
               (i + static_cast<std::uint64_t>(t) * (kValues / kThreads)) %
               kValues;
           // Mix so consecutive values do not probe adjacent slots.
-          if (tt.first_visit(zobrist::mix(v + 1))) {
+          const TranspositionTable::Claim c = tt.claim(zobrist::mix(v + 1));
+          if (c.first) {
             wins[v].fetch_add(1, std::memory_order_relaxed);
+            tt.publish(zobrist::mix(v + 1), count_of(v));
+          } else if (c.count != TranspositionTable::kPending &&
+                     c.count != count_of(v)) {
+            torn.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });
     }
   }
   ASSERT_EQ(tt.stats().drops, 0);
+  EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(tt.stats().stores, static_cast<long>(kValues));
   for (std::uint64_t v = 0; v < kValues; ++v) {
     ASSERT_EQ(wins[v].load(), 1) << "value " << v;
-    ASSERT_FALSE(tt.first_visit(zobrist::mix(v + 1))) << "value " << v;
+    const TranspositionTable::Claim c = tt.claim(zobrist::mix(v + 1));
+    ASSERT_FALSE(c.first) << "value " << v;
+    ASSERT_EQ(c.count, count_of(v)) << "value " << v;
   }
   // Every claim but the winning one hit, as did every claim after the join.
   EXPECT_EQ(tt.stats().hits, static_cast<long>(kThreads * kValues));

@@ -101,14 +101,18 @@ TEST(Fingerprint, DifferentKDifferentDigest) {
 
 // ---------------------------------------------------------------------- cache
 
+serve::CacheEntry entry(int exit, const std::string& body) {
+  return {exit, std::make_shared<const std::string>(body)};
+}
+
 TEST(ResultCache, MissThenHit) {
   serve::ResultCache cache(4, 1 << 20);
   serve::CacheEntry out;
   EXPECT_FALSE(cache.lookup(1, &out));
-  cache.insert(1, {0, "body"});
+  cache.insert(1, entry(0, "body"));
   ASSERT_TRUE(cache.lookup(1, &out));
   EXPECT_EQ(out.exit, 0);
-  EXPECT_EQ(out.body, "body");
+  EXPECT_EQ(*out.body, "body");
   const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -118,11 +122,11 @@ TEST(ResultCache, MissThenHit) {
 
 TEST(ResultCache, EntryBudgetEvictsLeastRecentlyUsed) {
   serve::ResultCache cache(2, 1 << 20);
-  cache.insert(1, {0, "a"});
-  cache.insert(2, {0, "b"});
+  cache.insert(1, entry(0, "a"));
+  cache.insert(2, entry(0, "b"));
   serve::CacheEntry out;
   ASSERT_TRUE(cache.lookup(1, &out));  // refresh 1 → 2 is now LRU
-  cache.insert(3, {0, "c"});
+  cache.insert(3, entry(0, "c"));
   EXPECT_FALSE(cache.lookup(2, &out));
   EXPECT_TRUE(cache.lookup(1, &out));
   EXPECT_TRUE(cache.lookup(3, &out));
@@ -131,8 +135,8 @@ TEST(ResultCache, EntryBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ResultCache, ByteBudgetEvicts) {
   serve::ResultCache cache(16, 10);
-  cache.insert(1, {0, "123456"});
-  cache.insert(2, {0, "654321"});  // 12 bytes total > 10 → evict key 1
+  cache.insert(1, entry(0, "123456"));
+  cache.insert(2, entry(0, "654321"));  // 12 bytes total > 10 → evict key 1
   serve::CacheEntry out;
   EXPECT_FALSE(cache.lookup(1, &out));
   EXPECT_TRUE(cache.lookup(2, &out));
@@ -141,7 +145,7 @@ TEST(ResultCache, ByteBudgetEvicts) {
 
 TEST(ResultCache, OversizedEntryIsNotCached) {
   serve::ResultCache cache(16, 4);
-  cache.insert(1, {0, "too large to fit"});
+  cache.insert(1, entry(0, "too large to fit"));
   serve::CacheEntry out;
   EXPECT_FALSE(cache.lookup(1, &out));
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -149,12 +153,12 @@ TEST(ResultCache, OversizedEntryIsNotCached) {
 
 TEST(ResultCache, ReinsertReplacesAndReaccountsBytes) {
   serve::ResultCache cache(16, 1 << 20);
-  cache.insert(1, {0, "aaaa"});
-  cache.insert(1, {1, "bb"});
+  cache.insert(1, entry(0, "aaaa"));
+  cache.insert(1, entry(1, "bb"));
   serve::CacheEntry out;
   ASSERT_TRUE(cache.lookup(1, &out));
   EXPECT_EQ(out.exit, 1);
-  EXPECT_EQ(out.body, "bb");
+  EXPECT_EQ(*out.body, "bb");
   const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.bytes, 2u);
@@ -199,6 +203,18 @@ TEST(Service, PayloadIsByteIdenticalToDirectLint) {
   // producer's trailing newline, stripped for the one-line envelope).
   EXPECT_NE(cold.find(",\"payload\":" + direct + "}"), std::string::npos)
       << cold;
+}
+
+// At its caps (k = 6, two crashes) Algorithm 1 has 9 891 802 schedules over
+// about 1 200 states; the explorer counts every one of them exactly while
+// expanding each state once.
+TEST(Service, ExploreAtTheCapsCountsEverySchedule) {
+  serve::Service service;
+  const std::string reply =
+      service.handle_line(R"({"mode":"explore","k":6,"crashes":2})");
+  EXPECT_NE(reply.find("\"exit\":0,"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"executions\":9891802,"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"max_gap\":1}"), std::string::npos) << reply;
 }
 
 /// An alg1 spec whose factory counts its invocations: the only way the

@@ -74,6 +74,7 @@ long ReplayExplorer::explore_until(const Factory& make,
 }
 
 void Observed::record(const Sim& sim, std::uint64_t final_hash) {
+  ++visits;
   finals.insert(final_hash);
   for (const ModelEvent& e : sim.model_violations()) {
     violations.insert(to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +

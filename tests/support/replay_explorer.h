@@ -36,7 +36,8 @@ class ReplayExplorer {
 
 /// What one exploration saw, in path-order-independent form.
 struct Observed {
-  long count = 0;
+  long count = 0;   ///< What the explore call returned.
+  long visits = 0;  ///< Visitor calls, one `record` each.
   std::set<std::uint64_t> finals;  ///< Hashes of distinct final states.
   /// Deduped violations, each keyed by kind, pid, register and message.
   std::set<std::string> violations;

@@ -19,20 +19,23 @@
 //       Exhaustively enumerate Algorithm 1's executions and print the count
 //       and decision spread. --threads 0 (the default) honors
 //       BSR_EXPLORE_THREADS; "auto" uses every hardware thread.
-//       --tt prunes via the shared transposition table (sim/tt.h): the
-//       count becomes the number of distinct final configurations, and the
-//       table's probe/hit/store/drop counters are reported ("collisions"
-//       are drops — full probe windows that fall back to exploring).
-//       --tt-bytes sizes the table (default 4 MiB). --por turns on
+//       Every search memoizes each state's schedule count in a
+//       transposition table (sim/tt.h) of --tt-bytes (default 4 MiB), so
+//       the count is exact while each state is expanded once. --tt
+//       reports the number of distinct final configurations (the visits)
+//       in place of the count, and the table's probe/hit/store/drop
+//       counters ("collisions" are drops — full probe windows that fall
+//       back to exploring); --tt-bytes implies --tt. --por turns on
 //       sleep-set partial-order reduction (default off): choices provably
 //       independent of every sibling already explored — per the static
 //       interference relation, see `bsr lint --mode=interference` — are
-//       skipped. The distinct-final-state set, decision spread, and
-//       violation findings are provably unchanged (the explorer suites
-//       check both switches against a replay oracle). With --por, --tt
-//       deduplicates complete states only, so the table's counters count
-//       the reduced search's leaves. --json emits one JSON object instead
-//       of text. An unknown flag is a usage error (exit 1) naming it.
+//       skipped, and the count is the reduced search's. The
+//       distinct-final-state set, decision spread, and violation findings
+//       are provably unchanged (the explorer suites check the table and
+//       the reduction against a replay oracle). With --por the table
+//       deduplicates complete states only, so its counters count the
+//       reduced search's leaves. --json emits one JSON object instead of
+//       text. An unknown flag is a usage error (exit 1) naming it.
 //   bsr lint [--protocol NAME[,NAME...]]
 //            [--mode dynamic|static|symbolic|both|interference|steps]
 //            [--static] [--max-pairs N] [--json] [--list] [--help]
@@ -312,12 +315,14 @@ spread against the paper's |y1-y2| <= 1 claim.
   --max-steps N    per-execution step bound (default 1000)
   --threads N      worker count; 0 defers to BSR_EXPLORE_THREADS, 'auto'
                    uses the hardware concurrency (default 0)
-  --tt             prune revisited states via the transposition table:
-                   the count becomes distinct final configurations
-  --tt-bytes N     table size in bytes (default 4194304; implies --tt)
+  --tt             report the distinct final configurations in place of the
+                   execution count, and the transposition table's counters
+                   (every search counts schedules through the table)
+  --tt-bytes N     size of the table every search uses, in bytes (default
+                   4194304; implies --tt)
   --por            sleep-set partial-order reduction, driven by the static
                    interference relation (`bsr lint --mode=interference`);
-                   with --tt the table sees only complete states, so its
+                   the table then sees only complete states, so the --tt
                    counters count the reduced search's leaves
   --json           one JSON object instead of text
   --help           print this help and exit
@@ -362,12 +367,11 @@ int cmd_explore(const Args& a) {
   const bool use_tt = a.flag("tt") || a.flag("tt-bytes");
   const bool json = a.flag("json");
   opts.por = a.flag("por");
-  std::shared_ptr<sim::TranspositionTable> tt;
-  if (use_tt) {
-    tt = std::make_shared<sim::TranspositionTable>(
-        static_cast<std::size_t>(a.u64("tt-bytes", std::size_t{1} << 22)));
-    opts.tt = tt;
-  }
+  // The table never changes the count, so every search memoizes; --tt only
+  // reports the visits (distinct final states) and the table's counters.
+  const auto tt = std::make_shared<sim::TranspositionTable>(
+      static_cast<std::size_t>(a.u64("tt-bytes", std::size_t{1} << 22)));
+  opts.tt = tt;
 
   const auto make = [k]() {
     auto sim = std::make_unique<sim::Sim>(2);
@@ -376,10 +380,13 @@ int cmd_explore(const Args& a) {
   };
 
   core::Alg1Spread spread;
-  const long count = sim::Explorer(opts).explore(
+  long states = 0;
+  const long executions = sim::Explorer(opts).explore(
       make, [&](sim::Sim& sim, const std::vector<sim::Choice>&) {
         spread.record(sim);
+        ++states;
       });
+  const long count = use_tt ? states : executions;
 
   const std::uint64_t denom = core::alg1_denominator(k);
   if (json) {
@@ -393,7 +400,8 @@ int cmd_explore(const Args& a) {
               << ",\"max_gap\":" << spread.max_gap << "}";
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
-      std::cout << ",\"tt\":{\"bytes\":" << s.slots * 8
+      std::cout << ",\"tt\":{\"bytes\":"
+                << s.slots * sim::TranspositionTable::kSlotBytes
                 << ",\"probes\":" << s.probes << ",\"hits\":" << s.hits
                 << ",\"stores\":" << s.stores << ",\"drops\":" << s.drops
                 << "}";
@@ -410,7 +418,8 @@ int cmd_explore(const Args& a) {
               << " (paper: <= 1)\n";
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
-      std::cout << "tt: " << s.slots * 8 << " bytes, probes " << s.probes
+      std::cout << "tt: " << s.slots * sim::TranspositionTable::kSlotBytes
+                << " bytes, probes " << s.probes
                 << ", hits " << s.hits << ", stores " << s.stores
                 << ", drops " << s.drops << "\n";
     }
