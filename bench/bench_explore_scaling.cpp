@@ -2,13 +2,13 @@
 // the Algorithm 2 (n=2, one-crash) workload — the hot path of the entire
 // verification suite.
 //
-// Three engines are compared on the identical choice tree:
+// Three kinds of row are compared on the identical choice tree:
 //   * replay      — the rebuild-and-replay DFS (ReplayExplorer, the tests'
 //                   oracle), the pre-optimization baseline;
-//   * incremental — the serial incremental-backtracking engine (Explorer,
-//                   threads=1);
-//   * parallel/T  — the frontier-partitioned work-stealing engine at
-//                   T = 2, 4, 8 threads.
+//   * incremental — Explorer with threads=1, its serial
+//                   incremental-backtracking path;
+//   * parallel/T  — Explorer with T = 2, 4, 8 threads: the choice tree cut
+//                   into frontier jobs that a pool takes in canonical order.
 // Every row must report the same execution count; any mismatch makes the
 // binary exit non-zero. Speedups are reported relative to the replay
 // baseline. On machines with few cores the parallel rows degenerate to the
@@ -23,7 +23,6 @@
 #include "common.h"
 #include "core/alg2.h"
 #include "sim/explore.h"
-#include "sim/explore_parallel.h"
 #include "support/replay_explorer.h"
 #include "tasks/approx.h"
 
@@ -96,9 +95,10 @@ int print_scaling_table() {
                       }));
   }
   for (int threads : {2, 4, 8}) {
+    sim::ExploreOptions o = w.opts;
+    o.threads = threads;
     rows.emplace_back("parallel x" + std::to_string(threads), timed([&] {
-                        return sim::ParallelExplorer(w.opts, threads)
-                            .explore(make, count_only);
+                        return sim::Explorer(o).explore(make, count_only);
                       }));
   }
 
@@ -141,7 +141,7 @@ void BM_ExploreAlg2(benchmark::State& state) {
   }
   state.counters["executions"] = static_cast<double>(execs);
 }
-// 0 = replay baseline; N>0 = incremental engine with N threads.
+// 0 = replay baseline; N>0 = Explorer with N threads.
 BENCHMARK(BM_ExploreAlg2)
     ->Arg(0)
     ->Arg(1)

@@ -14,14 +14,14 @@ std::string to_string(Severity s) {
   return "?";
 }
 
-std::string to_string(Mode m) {
+std::string to_string(LintMode m) {
   switch (m) {
-    case Mode::Dynamic: return "dynamic";
-    case Mode::Static: return "static";
-    case Mode::Symbolic: return "symbolic";
-    case Mode::Both: return "both";
-    case Mode::Interference: return "interference";
-    case Mode::Steps: return "steps";
+    case LintMode::Dynamic: return "dynamic";
+    case LintMode::Static: return "static";
+    case LintMode::Symbolic: return "symbolic";
+    case LintMode::Both: return "both";
+    case LintMode::Interference: return "interference";
+    case LintMode::Steps: return "steps";
   }
   return "?";
 }
@@ -63,7 +63,7 @@ int ProtocolReport::warnings() const {
 
 void TextSink::report(const ProtocolReport& r) {
   os_ << r.name << ": ";
-  if (r.mode == Mode::Interference) {
+  if (r.mode == LintMode::Interference) {
     os_ << "interference: " << r.interference_ops << " op site(s), "
         << r.interference_pairs << " cross-process pair(s), "
         << r.interference_independent << " independent";
@@ -81,7 +81,7 @@ void TextSink::report(const ProtocolReport& r) {
     }
     return;
   }
-  if (r.mode == Mode::Steps) {
+  if (r.mode == LintMode::Steps) {
     // Step tier: the symbolic per-process bounds, the claim they were
     // proved against, and the dynamic observation they were checked
     // against — one row per process.
@@ -113,12 +113,12 @@ void TextSink::report(const ProtocolReport& r) {
     }
     return;
   }
-  if (r.mode == Mode::Static || r.mode == Mode::Symbolic) {
+  if (r.mode == LintMode::Static || r.mode == LintMode::Symbolic) {
     os_ << "static IR audit (0 executions), max derivable bounded bits ";
   } else {
     os_ << r.executions
         << (r.sampled ? " sampled runs" : " executions explored");
-    if (r.mode == Mode::Both) os_ << " + static IR audit";
+    if (r.mode == LintMode::Both) os_ << " + static IR audit";
     os_ << ", max bounded bits used ";
   }
   os_ << r.max_bounded_bits_used << "/" << r.claimed_register_bits;
@@ -213,7 +213,7 @@ void JsonSink::close(int errors, int warnings) {
          << "\",\"message\":\"" << json_escape(d.message) << "\"}";
     }
     os << "]";
-    if (r.mode == Mode::Interference) {
+    if (r.mode == LintMode::Interference) {
       // Interference tier: totals over the full op-pair relation plus the
       // (possibly truncated) pair detail. Documented in docs/ANALYSIS.md.
       os << ",\"interference\":{\"ops\":" << r.interference_ops
@@ -231,7 +231,7 @@ void JsonSink::close(int errors, int warnings) {
       }
       os << "]}";
     }
-    if (r.mode == Mode::Steps) {
+    if (r.mode == LintMode::Steps) {
       // Step tier: the claim, the aggregate verdict, and one row per
       // process. Documented in docs/ANALYSIS.md.
       os << ",\"steps\":{\"claim\":\"" << json_escape(r.step_claim_expr)

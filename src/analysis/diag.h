@@ -26,22 +26,33 @@ enum class Severity {
 
 [[nodiscard]] std::string to_string(Severity s);
 
-/// Which analyzer tier produced a report: the dynamic explorer, the static
-/// IR checker, the symbolic prover (static checks plus all-params claim
-/// verification), both explorer+static (cross-validated), the static
-/// interference pass (op-footprint independence over the protocol IR), or
-/// the step-complexity engine (symbolic per-process step bounds proved
-/// against the step claims and cross-validated against observed steps).
-enum class Mode {
-  Dynamic,
-  Static,
-  Symbolic,
-  Both,
-  Interference,
-  Steps,
+/// Which analyzer tier(s) `bsr lint` runs, and which produced a report.
+enum class LintMode {
+  Dynamic,   ///< Explore executions (the default).
+  Static,    ///< Abstract interpretation over protocol IR; zero sim steps.
+  Symbolic,  ///< Static tier plus the symbolic width prover: claims are
+             ///< verified for all parameter valuations (or refuted with a
+             ///< witness ParamEnv — an error, exit 1 — or downgraded to a
+             ///< small-n cutoff sweep).
+  Both,      ///< Run dynamic and static and cross-validate them; any
+             ///< disagreement is an internal error (exit 2), each tier
+             ///< being the other's oracle.
+  Interference,  ///< Static op-footprint interference analysis over the
+                 ///< protocol IR: classify every cross-process op pair as
+                 ///< independent or may-interfere (the relation the
+                 ///< explorer's sleep-set POR consumes) and flag bounded
+                 ///< registers no pair ever conflicts on
+                 ///< (`static-interference`).
+  Steps,     ///< Symbolic step-complexity tier: derive per-process step
+             ///< bounds from the IR (`static-termination` on undeclared
+             ///< [0, ∞] loops), prove them against the step claims for all
+             ///< parameter valuations (`static-step-bound`), and
+             ///< cross-validate against the max steps the dynamic tier
+             ///< observes (disagreement = exit 2, as in `--mode=both`).
 };
 
-[[nodiscard]] std::string to_string(Mode m);
+/// The tier's name, as reports print it and parse_lint_mode reads it.
+[[nodiscard]] std::string to_string(LintMode m);
 
 /// One analyzer finding. Fields that do not apply are left at their
 /// defaults: aggregate findings (claim checks, dead registers) have no
@@ -126,7 +137,7 @@ struct StepAudit {
 struct ProtocolReport {
   std::string name;
   std::string claim_source;      ///< Paper grounding of the width claim.
-  Mode mode = Mode::Dynamic;     ///< Which tier produced this report.
+  LintMode mode = LintMode::Dynamic;  ///< Which tier produced this report.
   bool sampled = false;          ///< True: seeded sampling, not exhaustive.
   long executions = 0;           ///< Explored leaves / sampled runs (0: static).
   int max_bounded_bits_used = 0; ///< Max over every explored execution.

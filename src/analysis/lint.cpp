@@ -188,7 +188,7 @@ int run_lint_impl(const LintOptions& opts, std::ostream& out,
         // and any cross-validation disagreements are appended to it.
         const ProtocolReport stat = analyze_static(*spec);
         rep = analyze_protocol(*spec);
-        rep.mode = Mode::Both;
+        rep.mode = LintMode::Both;
         std::vector<Diagnostic> dis = cross_validate(*spec, stat, rep);
         disagreements += static_cast<long>(dis.size());
         for (const Diagnostic& d : stat.diagnostics) {
@@ -218,12 +218,12 @@ int run_lint_impl(const LintOptions& opts, std::ostream& out,
 }  // namespace
 
 std::optional<LintMode> parse_lint_mode(const std::string& name) {
-  if (name.empty() || name == "dynamic") return LintMode::Dynamic;
-  if (name == "static") return LintMode::Static;
-  if (name == "symbolic") return LintMode::Symbolic;
-  if (name == "both") return LintMode::Both;
-  if (name == "interference") return LintMode::Interference;
-  if (name == "steps") return LintMode::Steps;
+  if (name.empty()) return LintMode::Dynamic;
+  for (int m = 0; m <= static_cast<int>(LintMode::Steps); ++m) {
+    if (name == to_string(static_cast<LintMode>(m))) {
+      return static_cast<LintMode>(m);
+    }
+  }
   return std::nullopt;
 }
 

@@ -7,34 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diag.h"
+
 namespace bsr::analysis {
 
 struct ProtocolSpec;
-
-/// Which analyzer tier(s) `bsr lint` runs.
-enum class LintMode {
-  Dynamic,   ///< Explore executions (the default).
-  Static,    ///< Abstract interpretation over protocol IR; zero sim steps.
-  Symbolic,  ///< Static tier plus the symbolic width prover: claims are
-             ///< verified for all parameter valuations (or refuted with a
-             ///< witness ParamEnv — an error, exit 1 — or downgraded to a
-             ///< small-n cutoff sweep).
-  Both,      ///< Run dynamic and static and cross-validate them; any
-             ///< disagreement is an internal error (exit 2), each tier
-             ///< being the other's oracle.
-  Interference,  ///< Static op-footprint interference analysis over the
-                 ///< protocol IR: classify every cross-process op pair as
-                 ///< independent or may-interfere (the relation the
-                 ///< explorer's sleep-set POR consumes) and flag bounded
-                 ///< registers no pair ever conflicts on
-                 ///< (`static-interference`).
-  Steps,     ///< Symbolic step-complexity tier: derive per-process step
-             ///< bounds from the IR (`static-termination` on undeclared
-             ///< [0, ∞] loops), prove them against the step claims for all
-             ///< parameter valuations (`static-step-bound`), and
-             ///< cross-validate against the max steps the dynamic tier
-             ///< observes (disagreement = exit 2, as in `--mode=both`).
-};
 
 /// The mode names parse_lint_mode accepts, in the words its callers' usage
 /// errors list them.

@@ -47,7 +47,7 @@ ProtocolReport analyze_static(const ProtocolSpec& spec) {
   rep.claim_source = spec.claim.source;
   rep.claimed_register_bits = spec.claim.max_register_bits;
   rep.claimed_bits_expr = spec.claim.symbolic_bits.render();
-  rep.mode = Mode::Static;
+  rep.mode = LintMode::Static;
 
   const auto add = [&rep, &spec](Diagnostic d) {
     d.protocol = spec.name;
@@ -424,7 +424,7 @@ ClaimVerification verify_claims(const ProtocolSpec& spec) {
 
 ProtocolReport analyze_symbolic(const ProtocolSpec& spec) {
   ProtocolReport rep = analyze_static(spec);
-  rep.mode = Mode::Symbolic;
+  rep.mode = LintMode::Symbolic;
   if (!spec.describe) return rep;  // ir-missing already reported
   ir::ProtocolIR p = spec.describe();
   p.params = spec.params;
@@ -449,7 +449,7 @@ ProtocolReport analyze_interference(const ProtocolSpec& spec,
   rep.claim_source = spec.claim.source;
   rep.claimed_register_bits = spec.claim.max_register_bits;
   rep.claimed_bits_expr = spec.claim.symbolic_bits.render();
-  rep.mode = Mode::Interference;
+  rep.mode = LintMode::Interference;
 
   const auto add = [&rep, &spec](Diagnostic d) {
     d.protocol = spec.name;
@@ -594,7 +594,7 @@ ProtocolReport analyze_steps(const ProtocolSpec& spec) {
   rep.claim_source = spec.claim.source;
   rep.claimed_register_bits = spec.claim.max_register_bits;
   rep.claimed_bits_expr = spec.claim.symbolic_bits.render();
-  rep.mode = Mode::Steps;
+  rep.mode = LintMode::Steps;
   rep.step_claim_expr = spec.step_claim.max_steps.render();
   rep.step_claim_source = spec.step_claim.source;
 

@@ -44,8 +44,8 @@
 namespace bsr::analysis {
 
 /// Runs the static rule set over `spec.describe()`. The returned report has
-/// mode = Mode::Static and executions = 0. A spec without a describe hook
-/// yields a single `ir-missing` error.
+/// mode = LintMode::Static and executions = 0. A spec without a describe
+/// hook yields a single `ir-missing` error.
 [[nodiscard]] ProtocolReport analyze_static(const ProtocolSpec& spec);
 
 /// One `lhs ≤ budget` proof obligation the prover must discharge for every
@@ -90,7 +90,7 @@ struct ClaimVerification {
 [[nodiscard]] ClaimVerification verify_claims(const ProtocolSpec& spec);
 
 /// The symbolic tier: everything `analyze_static` checks, plus all-params
-/// claim verification. The returned report has mode = Mode::Symbolic;
+/// claim verification. The returned report has mode = LintMode::Symbolic;
 /// refuted obligations appear as `static-width-all-n` errors (so the lint
 /// exit-code contract is unchanged: refutation ⇒ exit 1).
 [[nodiscard]] ProtocolReport analyze_symbolic(const ProtocolSpec& spec);
@@ -99,10 +99,11 @@ struct ClaimVerification {
 /// op-footprint independence analysis (analysis/static/interference.h) over
 /// the spec's reflected IR and reports every cross-process op pair with its
 /// verdict and justification. The returned report has mode =
-/// Mode::Interference. One rule fires here: `static-interference` (warning)
-/// flags each bounded, written register that no cross-process pair ever
-/// conflicts on — its width claim is vacuous under contention, so either
-/// the bound is decorative or the registry misdeclares who touches it.
+/// LintMode::Interference. One rule fires here: `static-interference`
+/// (warning) flags each bounded, written register that no cross-process
+/// pair ever conflicts on — its width claim is vacuous under contention, so
+/// either the bound is decorative or the registry misdeclares who touches
+/// it.
 /// A spec without a describe hook yields a single `ir-missing` error.
 /// `max_pairs` caps the rendered pair detail (`--max-pairs`; 0 = unlimited;
 /// the totals always cover the full relation).
@@ -143,7 +144,7 @@ struct StepVerification {
 /// (`static-step-bound` on refutation), and fills one StepAudit row per
 /// process with `observed = -1`. The lint driver merges the dynamic
 /// tier's observed per-process max step counts into those rows and calls
-/// `cross_validate_steps`. The returned report has mode = Mode::Steps.
+/// `cross_validate_steps`. The returned report has mode = LintMode::Steps.
 [[nodiscard]] ProtocolReport analyze_steps(const ProtocolSpec& spec);
 
 /// Checks a merged step report's observation against its bounds: a

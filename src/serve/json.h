@@ -3,9 +3,9 @@
 // Requests arrive as one JSON object per line; this parser covers exactly
 // the JSON the service contract uses (objects, arrays, strings, integer
 // numbers, booleans, null) and rejects everything else with a UsageError
-// carrying the byte offset. It is the library twin of the
-// deliberately-tiny parser the lint schema tests use (they stay separate on
-// purpose: the test parser must not share bugs with the code under test).
+// carrying the byte offset. It is the repository's one JSON reader: the lint
+// schema tests read `bsr lint --json` documents with it too, where the
+// reader is a tool and the sink is the code under test.
 //
 // Responses are *emitted* with plain ostream formatting + json_escape
 // (analysis/diag.h), like every other JSON producer in this codebase — no

@@ -49,9 +49,10 @@ bool send_all(int fd, const std::string& data) {
 /// not, ends the connection with one `usage` envelope.
 void serve_connection(int fd, Service& service) {
   const auto refuse_overlong = [fd] {
-    send_all(fd, "{\"ok\":false,\"error\":\"usage\",\"message\":\"request "
-                 "line longer than " +
-                     std::to_string(kMaxLineBytes) + " bytes\"}\n");
+    send_all(fd, error_envelope("usage", "request line longer than " +
+                                             std::to_string(kMaxLineBytes) +
+                                             " bytes") +
+                     "\n");
     ::close(fd);
   };
   std::string buf;
@@ -202,9 +203,9 @@ int run_server(const ServerOptions& opts, std::ostream& log) {
     }
     // Queue full: structured refusal, then close. The client maps this to
     // exit 3 and may retry with backoff.
-    send_all(fd,
-             "{\"ok\":false,\"error\":\"overloaded\",\"message\":\"request "
-             "queue full; retry later\"}\n");
+    send_all(fd, error_envelope("overloaded",
+                                "request queue full; retry later") +
+                     "\n");
     ::close(fd);
   }
 

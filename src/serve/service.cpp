@@ -38,11 +38,6 @@ constexpr long kMaxExploreSteps = 1'000'000;
 constexpr long kMaxSleepMs = 60'000;
 constexpr std::size_t kMaxBatch = 256;
 
-std::string error_envelope(const char* category, const std::string& message) {
-  return std::string("{\"ok\":false,\"error\":\"") + category +
-         "\",\"message\":\"" + analysis::json_escape(message) + "\"}";
-}
-
 // Built in one reserved string: a warm hit's cost is this copy of the
 // payload, which the reserve keeps to one allocation, the caller's trailing
 // newline included.
@@ -107,6 +102,11 @@ long bounded_num(const Json& req, const std::string& key, long def, long lo,
 }
 
 }  // namespace
+
+std::string error_envelope(const char* category, const std::string& message) {
+  return std::string("{\"ok\":false,\"error\":\"") + category +
+         "\",\"message\":\"" + analysis::json_escape(message) + "\"}";
+}
 
 Service::Service(ServiceOptions opts)
     : opts_(opts), cache_(opts.cache_entries, opts.cache_bytes) {
@@ -200,10 +200,9 @@ std::uint64_t Service::explore_key(const Json& req) {
   const long max_steps =
       bounded_num(req, "max_steps", 1000, 1, kMaxExploreSteps);
   std::uint64_t h = air::fp_combine_str(kKeySeed, "explore");
-  // describe_alg1 is the same reflected IR the static lint tier audits; its
-  // fingerprint covers the register table and the k-dependent loop shape.
-  h = air::fp_combine(
-      h, air::fingerprint(core::describe_alg1(static_cast<std::uint64_t>(k))));
+  // Within one build, Algorithm 1's IR is a fixed function of k, and the
+  // cache dies with the daemon, so k stands for the protocol.
+  h = air::fp_combine(h, static_cast<std::uint64_t>(k));
   h = air::fp_combine(h, static_cast<std::uint64_t>(crashes));
   h = air::fp_combine(h, static_cast<std::uint64_t>(max_steps));
   return h;

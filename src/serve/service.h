@@ -44,6 +44,11 @@ struct ModeCounters {
   std::uint64_t total_us = 0;   ///< Wall time summed over those requests.
 };
 
+/// A refusal envelope, `{"ok":false,"error":<category>,"message":<message>}`,
+/// with `message` JSON-escaped and no trailing newline.
+[[nodiscard]] std::string error_envelope(const char* category,
+                                         const std::string& message);
+
 /// The request engine. handle_line is safe to call from several worker
 /// threads at once; all shared state (cache, counters, fingerprint memo)
 /// is internally synchronized.

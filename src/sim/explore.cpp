@@ -1,13 +1,16 @@
 #include "sim/explore.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "sim/explore_parallel.h"
 #include "sim/tt.h"
 #include "util/errors.h"
 
@@ -36,26 +39,6 @@ int resolve_explore_threads(int requested) {
 
 namespace detail {
 namespace {
-
-/// Exact runtime mirror of Sim::do_write's violation checks for a pending
-/// write of `v` into `reg` by `pid` (the value is known, so this is not an
-/// approximation). Any condition that would make do_write record a
-/// ModelEvent — or throw ModelError outside collect mode — makes the op
-/// order-sensitive.
-bool write_may_violate(const Sim& sim, Pid pid, int reg, const Value& v) {
-  if (reg < 0 || reg >= sim.num_registers()) return true;
-  const Register& r = sim.register_info(reg);
-  if (r.writer != -1 && r.writer != pid) return true;  // Swmr
-  if (r.write_once && r.writes != 0) return true;      // WriteOnce
-  if (r.width_bits != kUnbounded) {
-    if (!v.is_u64()) return true;  // Width (non-integer)
-    if (v.bit_width() > r.width_bits) return true;  // Width (overflow)
-    const std::uint64_t limit =
-        (std::uint64_t{1} << r.width_bits) - (r.allows_bottom ? 2 : 1);
-    if (v.as_u64() > limit) return true;  // Bottom (⊥ code point)
-  }
-  return false;
-}
 
 void add_sorted(std::vector<int>& v, int x) {
   const auto it = std::lower_bound(v.begin(), v.end(), x);
@@ -88,7 +71,6 @@ void choice_footprint(const Sim& sim, const Choice& c,
       break;
     case OpKind::Write:
       add_sorted(fp.writes, req.reg);
-      fp.may_violate = write_may_violate(sim, c.pid, req.reg, req.value);
       break;
     case OpKind::Snapshot:
       for (const int r : req.regs) add_sorted(fp.reads, r);
@@ -96,22 +78,16 @@ void choice_footprint(const Sim& sim, const Choice& c,
     case OpKind::WriteSnap:
       add_sorted(fp.writes, req.reg);
       for (const int r : req.regs) add_sorted(fp.reads, r);
-      fp.may_violate = write_may_violate(sim, c.pid, req.reg, req.value);
       break;
     case OpKind::Send:
       fp.send_to = req.peer;
-      fp.may_violate = !sim.can_send(c.pid, req.peer);  // Topology
       break;
     case OpKind::Recv:
       fp.is_recv = true;
       fp.recv_from = c.recv_from;
       break;
   }
-  // Round events fire inside the resumed body (Env::note_round), invisible
-  // from the pending op, so a declared budget makes every step
-  // order-sensitive. Blunt but sound; round-budgeted registry protocols
-  // are sampled, never explored exhaustively.
-  if (sim.max_rounds() >= 0) fp.may_violate = true;
+  fp.may_violate = sim.step_may_violate(c.pid);
 }
 
 bool independent(const Sim& sim, const Choice& a, const Choice& b) {
@@ -143,6 +119,25 @@ void legal_choices(const Sim& sim, int crashes_so_far,
   }
 }
 
+}  // namespace detail
+
+namespace {
+
+/// Mutable cursor of an in-progress incremental DFS: the schedule applied so
+/// far (including any pre-applied prefix) and derived counters.
+struct DfsCursor {
+  std::vector<Choice> schedule;
+  int crashes = 0;  ///< Crash choices in `schedule`.
+  long steps = 0;   ///< Step choices in `schedule` (max_steps accounting).
+  /// POR: the sleep set of the node the cursor currently sits on. Seed it
+  /// to resume a reduced search mid-tree (the parallel path's frontier
+  /// jobs do); after each descent it holds the current node's set.
+  std::vector<Choice> sleep;
+};
+
+/// Calls the factory and readies its Sim for an incremental search: the Sim
+/// must be non-null and unstepped (UsageError otherwise); checkpointing is
+/// turned on, and state hashing too when `opts.tt` is set.
 std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
                                const ExploreOptions& opts) {
   std::unique_ptr<Sim> sim = make();
@@ -156,6 +151,35 @@ std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
   return sim;
 }
 
+/// Adds `n` schedules to the running count `total`. Memoized counts grow
+/// exponentially with the depth, so a total past the range of `long` is a
+/// UsageError, never a wrap.
+void add_schedules(long& total, long n) {
+  usage_check(!__builtin_add_overflow(total, n, &total),
+              "Explorer: more than 2^63 - 1 schedules to count");
+}
+
+/// Leaf callback of `incremental_dfs`: receives the Sim in the leaf state,
+/// the full schedule, and the per-depth choice indices taken since the DFS
+/// root. Return true to stop the search.
+using DfsLeafFn = std::function<bool(
+    Sim&, const std::vector<Choice>&, const std::vector<std::size_t>&)>;
+
+/// Depth-first search from the Sim's *current* state using incremental
+/// backtracking (requires sim.checkpointing()). Reaches every node that is
+/// complete (no legal choices) or — when depth_limit >= 0 — at exactly
+/// `depth_limit` choices below the root, calling `leaf` for each; returns
+/// the number of schedules covered. Enforces opts.max_steps.
+/// With opts.tt set (requires sim.state_hashing()) and no POR, the root and
+/// every applied choice are claimed in the table, each frame records its
+/// node's hash and the count covered when it was entered, and the count of
+/// every node backed out of is published. A claimed state with a published
+/// count adds it and is not entered; one still pending (claimed by a search
+/// that has not backed out of it) is explored again, and if complete counts
+/// 1 without calling `leaf`. Under opts.por only complete states are
+/// claimed, and a repeated one counts 1 without calling `leaf`. A table
+/// cannot be combined with a depth limit without POR (UsageError): a cut
+/// subtree has no count to publish.
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
                      DfsCursor& cursor, const DfsLeafFn& leaf) {
   usage_check(sim.checkpointing(),
@@ -246,9 +270,9 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
         // never independent), and its subtree still commutes into the
         // sibling branch that owns it.
         if (!f.sleep.empty()) {
-          choice_footprint(sim, c, cand_fp);
+          detail::choice_footprint(sim, c, cand_fp);
           for (const Choice& d : f.sleep) {
-            choice_footprint(sim, d, peer_fp);
+            detail::choice_footprint(sim, d, peer_fp);
             if (analysis::itf::classify(peer_fp, cand_fp).independent) {
               child_sleep.push_back(d);
             }
@@ -294,7 +318,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     while (depth_limit < 0 || static_cast<long>(depth) < depth_limit) {
       if (depth == frames.size()) frames.emplace_back();
       Frame& f = frames[depth];
-      legal_choices(sim, cursor.crashes, opts, f.cs);
+      detail::legal_choices(sim, cursor.crashes, opts, f.cs);
       if (f.cs.empty()) break;
       usage_check(cursor.steps < opts.max_steps,
                   "Explorer: execution exceeded max_steps; "
@@ -372,7 +396,197 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
   }
 }
 
-}  // namespace detail
+long explore_serial(const ExploreOptions& opts, const Explorer::Factory& make,
+                    const Explorer::StoppingVisitor& visit) {
+  std::unique_ptr<Sim> sim = fresh_sim(make, opts);
+  DfsCursor cursor;
+  return incremental_dfs(
+      *sim, opts, -1, cursor,
+      [&](Sim& s, const std::vector<Choice>& schedule,
+          const std::vector<std::size_t>&) { return visit(s, schedule); });
+}
+
+// The parallel path. The choice tree is enumerated down to a (small)
+// frontier depth F; every node at depth F — and every complete execution
+// shallower than F — becomes an independent *subtree job*, identified by its
+// choice prefix and numbered in canonical DFS order. A std::jthread pool
+// takes the jobs in that order from one shared cursor: every job exists
+// before the pool starts, so an idle worker that takes the next job
+// balances the load. Each job replays its prefix into a fresh Sim
+// (validating on the way that the factory is deterministic) and then runs
+// the same incremental DFS as the serial path.
+//
+// Determinism. Every job reports (count, stopped, error) for its subtree,
+// and the result is computed by walking the reports in canonical order, so
+// the returned execution count — including `explore_until` early stops — is
+// bit-identical to the serial path no matter how the subtrees interleaved
+// at runtime. The only observable difference from serial execution is that
+// on an early stop (or an error), visitors of canonically-later subtrees
+// that were already running may have been invoked before the stop was
+// discovered. Every visitor call is serialized through a mutex, so a
+// visitor need not be thread-safe.
+
+/// One subtree of the choice tree, identified by its prefix in canonical
+/// DFS order. `choices` and `idx` describe the same prefix; the indices are
+/// replayed against freshly-enumerated choice sets so a nondeterministic
+/// factory is caught instead of silently exploring a different tree.
+struct Job {
+  std::vector<Choice> choices;
+  std::vector<std::size_t> idx;
+  /// POR: the sleep set of the subtree root, captured during frontier
+  /// enumeration and re-seeded into the job's DFS cursor — the reduced
+  /// parallel search explores exactly the serial path's reduced tree.
+  std::vector<Choice> sleep;
+};
+
+/// What one job's subtree contributed, merged in canonical order afterwards.
+struct JobOutcome {
+  long count = 0;            ///< Schedules covered (in subtree order).
+  bool stopped = false;      ///< The stopping visitor returned true.
+  std::exception_ptr error;  ///< Exception thrown while exploring.
+};
+
+void atomic_min(std::atomic<std::size_t>& target, std::size_t v) {
+  std::size_t cur = target.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !target.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
+  }
+}
+
+/// Enumerates the frontier at `depth`: every node `depth` choices below the
+/// root, plus every complete execution shallower than that. Sets
+/// `exhausted` when no node actually reached the depth limit (the whole
+/// tree is shallower, so deepening the frontier cannot create more jobs).
+/// Rewinds `sim` back to its initial state afterwards, so repeated passes
+/// at increasing depths all partition the tree of the SAME factory call —
+/// the jobs' prefixes are then a committed structure that later factory
+/// calls are validated against during replay.
+std::vector<Job> enumerate_frontier(Sim& sim, const ExploreOptions& opts,
+                                    long depth, bool& exhausted) {
+  std::vector<Job> jobs;
+  exhausted = true;
+  DfsCursor cursor;
+  incremental_dfs(sim, opts, depth, cursor,
+                  [&](Sim&, const std::vector<Choice>& schedule,
+                      const std::vector<std::size_t>& idx) {
+                    if (static_cast<long>(idx.size()) == depth) {
+                      exhausted = false;
+                    }
+                    jobs.push_back(Job{schedule, idx, cursor.sleep});
+                    return false;
+                  });
+  sim.rewind(sim.history_size());
+  return jobs;
+}
+
+long explore_parallel(const ExploreOptions& opts, int threads,
+                      const Explorer::Factory& make,
+                      const Explorer::StoppingVisitor& visit) {
+  // --- Phase 1: partition the choice tree at the frontier depth. ----------
+  // Frontier enumeration must see every prefix: partitioning through the
+  // shared transposition table would prune frontier nodes whose subtrees
+  // the workers still have to own, so phase 1 runs memoization-free.
+  ExploreOptions frontier_opts = opts;
+  frontier_opts.tt.reset();
+  std::unique_ptr<Sim> root = fresh_sim(make, frontier_opts);
+  // Deepen until there are comfortably more jobs than threads, so the pool
+  // can balance uneven subtrees.
+  std::vector<Job> jobs;
+  const std::size_t want = 4u * static_cast<std::size_t>(threads);
+  for (long depth = 2;; depth += 2) {
+    bool exhausted = false;
+    jobs = enumerate_frontier(*root, frontier_opts, depth, exhausted);
+    if (jobs.size() >= want || exhausted || depth >= 24) break;
+  }
+  root.reset();
+
+  // --- Phase 2: run the subtree jobs on the pool, in canonical order. ------
+  std::vector<JobOutcome> outcomes(jobs.size());
+  // The next job to hand out. Jobs leave in canonical order, so a worker
+  // that draws one past the barrier below can stop: every later job is past
+  // it too.
+  std::atomic<std::size_t> next_job{0};
+  // Canonical index of the earliest job that stopped or failed: jobs after
+  // it cannot affect the result and are skipped or aborted.
+  std::atomic<std::size_t> barrier{SIZE_MAX};
+  std::mutex visit_mu;  // serializes visitor calls
+
+  const auto run_job = [&](std::size_t j) {
+    const Job& job = jobs[j];
+    JobOutcome& out = outcomes[j];
+    std::unique_ptr<Sim> sim = fresh_sim(make, opts);
+    DfsCursor cursor;
+    // Replay the job's prefix, revalidating each choice index against the
+    // fresh Sim: a factory that does not rebuild the same world is a bug.
+    std::vector<Choice> cs;
+    for (std::size_t d = 0; d < job.idx.size(); ++d) {
+      detail::legal_choices(*sim, cursor.crashes, opts, cs);
+      usage_check(job.idx[d] < cs.size() && cs[job.idx[d]] == job.choices[d],
+                  "Explorer: nondeterministic factory (choice set changed)");
+      const Choice& c = cs[job.idx[d]];
+      if (c.kind == Choice::Kind::Step) {
+        sim->step(c.pid, c.recv_from);
+        cursor.steps += 1;
+      } else {
+        sim->crash(c.pid);
+        cursor.crashes += 1;
+      }
+      cursor.schedule.push_back(c);
+    }
+    cursor.sleep = job.sleep;
+    // Distinct frontier prefixes can converge on one state: the DFS claims
+    // its root, so a job whose root another job has already counted adds
+    // that count, and one whose root is still being explored explores it
+    // again (time, never exactness).
+    out.count = incremental_dfs(
+        *sim, opts, -1, cursor,
+        [&](Sim& s, const std::vector<Choice>& schedule,
+            const std::vector<std::size_t>&) {
+          if (barrier.load(std::memory_order_acquire) < j) {
+            return true;  // abandoned: a canonically-earlier job stopped
+          }
+          bool stop;
+          {
+            const std::lock_guard<std::mutex> lk(visit_mu);
+            stop = visit(s, schedule);
+          }
+          if (stop) {
+            out.stopped = true;
+            atomic_min(barrier, j);
+          }
+          return stop;
+        });
+  };
+
+  {
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
+      pool.emplace_back([&] {
+        for (std::size_t j = next_job++; j < jobs.size(); j = next_job++) {
+          if (barrier.load(std::memory_order_acquire) < j) return;
+          try {
+            run_job(j);
+          } catch (...) {
+            outcomes[j].error = std::current_exception();
+            atomic_min(barrier, j);
+          }
+        }
+      });
+    }
+  }  // joins the pool: all outcomes are published before the merge
+
+  // --- Phase 3: deterministic merge in canonical subtree order. -----------
+  long merged = 0;
+  for (const JobOutcome& o : outcomes) {
+    if (o.error != nullptr) std::rethrow_exception(o.error);
+    add_schedules(merged, o.count);
+    if (o.stopped) return merged;
+  }
+  return merged;
+}
+
+}  // namespace
 
 long Explorer::explore(const Factory& make, const Visitor& visit) const {
   return explore_until(make, [&](Sim& sim, const std::vector<Choice>& sched) {
@@ -384,20 +598,8 @@ long Explorer::explore(const Factory& make, const Visitor& visit) const {
 long Explorer::explore_until(const Factory& make,
                              const StoppingVisitor& visit) const {
   const int threads = resolve_explore_threads(opts_.threads);
-  if (threads > 1) {
-    return ParallelExplorer(opts_, threads).explore_until(make, visit);
-  }
-  return explore_serial(make, visit);
-}
-
-long Explorer::explore_serial(const Factory& make,
-                              const StoppingVisitor& visit) const {
-  std::unique_ptr<Sim> sim = detail::fresh_sim(make, opts_);
-  detail::DfsCursor cursor;
-  return detail::incremental_dfs(
-      *sim, opts_, -1, cursor,
-      [&](Sim& s, const std::vector<Choice>& schedule,
-          const std::vector<std::size_t>&) { return visit(s, schedule); });
+  if (threads > 1) return explore_parallel(opts_, threads, make, visit);
+  return explore_serial(opts_, make, visit);
 }
 
 }  // namespace bsr::sim

@@ -15,10 +15,11 @@
 // rebuilding the Sim and replaying the whole choice prefix. That is why a
 // factory must hand over a Sim that has not stepped yet. With `threads` > 1
 // (or BSR_EXPLORE_THREADS set), it partitions the choice tree at a frontier
-// depth and explores the subtrees on a work-stealing thread pool (see
-// explore_parallel.h); execution counts and `explore_until` early-stop
-// results stay bit-identical to the serial search. The test suites check
-// it against a rebuild-and-replay oracle (tests/support/replay_explorer.h).
+// depth into subtree jobs in canonical DFS order, and a thread pool takes
+// them in that order from one shared cursor; execution counts and
+// `explore_until` early-stop results stay bit-identical to the serial
+// search. The test suites check it against a rebuild-and-replay oracle
+// (tests/support/replay_explorer.h).
 #pragma once
 
 #include <functional>
@@ -28,7 +29,6 @@
 #include "analysis/static/interference.h"
 #include "sim/sched.h"
 #include "sim/sim.h"
-#include "util/errors.h"
 
 namespace bsr::sim {
 
@@ -44,8 +44,8 @@ struct ExploreOptions {
   /// The adversary may crash up to this many processes (t of the model).
   int max_crashes = 0;
   /// Worker threads. 1 = serial; 0 = resolve from BSR_EXPLORE_THREADS
-  /// (unset ⇒ 1, "0" or "auto" ⇒ hardware concurrency). Values > 1 run the
-  /// parallel engine, which serializes visitor calls through a mutex.
+  /// (unset ⇒ 1, "0" or "auto" ⇒ hardware concurrency). Values > 1 take the
+  /// parallel path, which serializes visitor calls through a mutex.
   int threads = 0;
   /// State-space memoization: when set, the engine maintains a Zobrist hash
   /// of the world (Sim::set_state_hashing) and claims each search-tree node's
@@ -112,8 +112,6 @@ class Explorer {
   long explore_until(const Factory& make, const StoppingVisitor& visit) const;
 
  private:
-  long explore_serial(const Factory& make, const StoppingVisitor& visit) const;
-
   ExploreOptions opts_;
 };
 
@@ -127,26 +125,12 @@ namespace detail {
 void legal_choices(const Sim& sim, int crashes_so_far,
                    const ExploreOptions& opts, std::vector<Choice>& out);
 
-/// Mutable cursor of an in-progress incremental DFS: the schedule applied so
-/// far (including any pre-applied prefix) and derived counters.
-struct DfsCursor {
-  std::vector<Choice> schedule;
-  int crashes = 0;  ///< Crash choices in `schedule`.
-  long steps = 0;   ///< Step choices in `schedule` (max_steps accounting).
-  /// POR: the sleep set of the node the cursor currently sits on. Seed it
-  /// to resume a reduced search mid-tree (the parallel engine's frontier
-  /// jobs do); after each descent it holds the current node's set.
-  std::vector<Choice> sleep;
-};
-
 /// Overwrites `fp` with the shared-state footprint of one scheduling choice
 /// in the Sim's *current* state, built from the pending OpRequest (crash
-/// choices have a crash-only footprint). Mirrors the simulator's own
-/// violation checks (do_write, topology) so `may_violate` is exact for the
-/// pending op; a declared round budget conservatively marks every Step
-/// may-violate. Every field is reset; the register vectors keep their
-/// capacity, so a caller-owned footprint is built without allocating once
-/// it has grown to the protocol's widest op.
+/// choices have a crash-only footprint). A Step's `may_violate` is the
+/// simulator's own answer, Sim::step_may_violate. Every field is reset; the
+/// register vectors keep their capacity, so a caller-owned footprint is
+/// built without allocating once it has grown to the protocol's widest op.
 void choice_footprint(const Sim& sim, const Choice& c,
                       analysis::itf::Footprint& fp);
 
@@ -154,44 +138,6 @@ void choice_footprint(const Sim& sim, const Choice& c,
 /// decision procedure analysis::itf::classify over pending-op footprints.
 [[nodiscard]] bool independent(const Sim& sim, const Choice& a,
                                const Choice& b);
-
-/// Calls the factory and readies its Sim for an incremental search: the Sim
-/// must be non-null and unstepped (UsageError otherwise); checkpointing is
-/// turned on, and state hashing too when `opts.tt` is set.
-[[nodiscard]] std::unique_ptr<Sim> fresh_sim(const Explorer::Factory& make,
-                                             const ExploreOptions& opts);
-
-/// Adds `n` schedules to the running count `total`. Memoized counts grow
-/// exponentially with the depth, so a total past the range of `long` is a
-/// UsageError, never a wrap.
-inline void add_schedules(long& total, long n) {
-  usage_check(!__builtin_add_overflow(total, n, &total),
-              "Explorer: more than 2^63 - 1 schedules to count");
-}
-
-/// Leaf callback of `incremental_dfs`: receives the Sim in the leaf state,
-/// the full schedule, and the per-depth choice indices taken since the DFS
-/// root. Return true to stop the search.
-using DfsLeafFn = std::function<bool(
-    Sim&, const std::vector<Choice>&, const std::vector<std::size_t>&)>;
-
-/// Depth-first search from the Sim's *current* state using incremental
-/// backtracking (requires sim.checkpointing()). Reaches every node that is
-/// complete (no legal choices) or — when depth_limit >= 0 — at exactly
-/// `depth_limit` choices below the root, calling `leaf` for each; returns
-/// the number of schedules covered. Enforces opts.max_steps.
-/// With opts.tt set (requires sim.state_hashing()) and no POR, the root and
-/// every applied choice are claimed in the table, each frame records its
-/// node's hash and the count covered when it was entered, and the count of
-/// every node backed out of is published. A claimed state with a published
-/// count adds it and is not entered; one still pending (claimed by a search
-/// that has not backed out of it) is explored again, and if complete counts
-/// 1 without calling `leaf`. Under opts.por only complete states are
-/// claimed, and a repeated one counts 1 without calling `leaf`. A table
-/// cannot be combined with a depth limit without POR (UsageError): a cut
-/// subtree has no count to publish.
-long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
-                     DfsCursor& cursor, const DfsLeafFn& leaf);
 
 }  // namespace detail
 

@@ -8,6 +8,58 @@
 
 namespace bsr::sim {
 
+namespace {
+
+/// The register rules one write of `v` into `r` by `pid` must keep, in
+/// report order: calls `broken(kind, message)` for each rule the write
+/// breaks, where `message()` builds the report's text. do_write reports
+/// from it and write_breaks_rules asks it, so each rule is written once.
+template <class Broken>
+void check_write(const Register& r, Pid pid, const Value& v,
+                 const Broken& broken) {
+  using Kind = ModelEvent::Kind;
+  if (r.writer != -1 && r.writer != pid) {
+    broken(Kind::Swmr, [&] {
+      return "process " + std::to_string(pid) + " wrote to register '" +
+             r.name + "' owned by process " + std::to_string(r.writer);
+    });
+  }
+  if (r.write_once && r.writes != 0) {
+    broken(Kind::WriteOnce, [&] {
+      return "second write to write-once register '" + r.name + "'";
+    });
+  }
+  if (r.width_bits == kUnbounded) return;
+  if (!v.is_u64()) {
+    broken(Kind::Width, [&] {
+      return "non-integer value " + v.str() +
+             " written to bounded register '" + r.name + "'";
+    });
+    return;
+  }
+  const int w = v.bit_width();
+  // A register with a ⊥ state spends one of its 2^b codes on ⊥, leaving
+  // integers 0 … 2^b − 2; a plain bounded register holds 0 … 2^b − 1.
+  const std::uint64_t limit =
+      (std::uint64_t{1} << r.width_bits) - (r.allows_bottom ? 2 : 1);
+  if (w > r.width_bits) {
+    broken(Kind::Width, [&] {
+      return "value " + v.str() + " (" + std::to_string(w) +
+             " bits) overflows register '" + r.name + "' of width " +
+             std::to_string(r.width_bits);
+    });
+  } else if (v.as_u64() > limit) {
+    broken(Kind::Bottom, [&] {
+      return "value " + v.str() +
+             " escapes into the ⊥ code point of register '" + r.name +
+             "' of width " + std::to_string(r.width_bits) +
+             " (one state reserved for ⊥)";
+    });
+  }
+}
+
+}  // namespace
+
 std::string to_string(OpKind k) {
   switch (k) {
     case OpKind::Start: return "start";
@@ -142,11 +194,6 @@ std::vector<Pid> Sim::recv_choices(Pid pid) const {
     }
   }
   return out;
-}
-
-const OpRequest& Sim::pending_request(Pid pid) const {
-  check_pid(pid);
-  return ctls_[static_cast<std::size_t>(pid)].ctl.pending;
 }
 
 void Sim::step(Pid pid, Pid recv_from) {
@@ -574,11 +621,6 @@ const Register& Sim::reg_at(int reg) const {
   return regs_[static_cast<std::size_t>(reg)];
 }
 
-void Sim::check_pid(Pid pid) const {
-  usage_check(pid >= 0 && pid < n(),
-              [&] { return "bad pid " + std::to_string(pid); });
-}
-
 bool Sim::may_send(Pid from, Pid to) const {
   if (opts_.edges.empty()) return from != to;
   const auto& out = opts_.edges[static_cast<std::size_t>(from)];
@@ -596,43 +638,22 @@ void Sim::violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg) {
   if (hashing_) hash_ ^= zobrist::viol_component(violations_.back());
 }
 
+bool Sim::write_breaks_rules(Pid pid, int reg, const Value& v) const {
+  if (reg < 0 || reg >= num_registers()) return true;
+  bool broken = false;
+  check_write(regs_[static_cast<std::size_t>(reg)], pid, v,
+              [&broken](ModelEvent::Kind, const auto&) { broken = true; });
+  return broken;
+}
+
 void Sim::do_write(Pid pid, int reg, const Value& v) {
   Register& r = reg_at(reg);
   reg_ops_in_step_ += 1;
-  if (r.writer != -1 && r.writer != pid) {
-    violate(ModelEvent::Kind::Swmr, pid, reg,
-            "process " + std::to_string(pid) + " wrote to register '" +
-                r.name + "' owned by process " + std::to_string(r.writer));
-  }
-  if (r.write_once && r.writes != 0) {
-    violate(ModelEvent::Kind::WriteOnce, pid, reg,
-            "second write to write-once register '" + r.name + "'");
-  }
-  if (r.width_bits != kUnbounded) {
-    if (!v.is_u64()) {
-      violate(ModelEvent::Kind::Width, pid, reg,
-              "non-integer value " + v.str() +
-                  " written to bounded register '" + r.name + "'");
-    } else {
-      const int w = v.bit_width();
-      // A register with a ⊥ state spends one of its 2^b codes on ⊥, leaving
-      // integers 0 … 2^b − 2; a plain bounded register holds 0 … 2^b − 1.
-      const std::uint64_t limit = (std::uint64_t{1} << r.width_bits) -
-                                  (r.allows_bottom ? 2 : 1);
-      if (w > r.width_bits) {
-        violate(ModelEvent::Kind::Width, pid, reg,
-                "value " + v.str() + " (" + std::to_string(w) +
-                    " bits) overflows register '" + r.name + "' of width " +
-                    std::to_string(r.width_bits));
-      } else if (v.as_u64() > limit) {
-        violate(ModelEvent::Kind::Bottom, pid, reg,
-                "value " + v.str() + " escapes into the ⊥ code point of "
-                    "register '" + r.name + "' of width " +
-                    std::to_string(r.width_bits) +
-                    " (one state reserved for ⊥)");
-      }
-      r.max_bits_written = std::max(r.max_bits_written, w);
-    }
+  check_write(r, pid, v, [&](ModelEvent::Kind kind, const auto& message) {
+    violate(kind, pid, reg, message());
+  });
+  if (r.width_bits != kUnbounded && v.is_u64()) {
+    r.max_bits_written = std::max(r.max_bits_written, v.bit_width());
   }
   if (hashing_) {
     hash_ ^= zobrist::reg_component(reg, r.value) ^

@@ -206,7 +206,7 @@ class Sim {
   /// Attaches caller-owned context (e.g. a white-box diagnostic the
   /// protocol bodies write into) to THIS world, keeping it alive as long as
   /// the Sim. Explorer factories must use this instead of capturing a
-  /// shared object: the parallel engine builds one Sim per subtree job and
+  /// shared object: the parallel explorer builds one Sim per subtree job and
   /// runs them concurrently, so anything shared across factory calls would
   /// be raced on. Visitors read it back via `user_data<T>()`.
   void set_user_data(std::shared_ptr<void> data) noexcept {
@@ -233,11 +233,28 @@ class Sim {
   /// (OpKind::Start before the first). Exposed so the explorer's
   /// partial-order reduction can derive the op's footprint without
   /// executing it (src/sim/explore.cpp, detail::choice_footprint).
-  [[nodiscard]] const OpRequest& pending_request(Pid pid) const;
+  [[nodiscard]] const OpRequest& pending_request(Pid pid) const {
+    check_pid(pid);
+    return ctls_[static_cast<std::size_t>(pid)].ctl.pending;
+  }
 
-  /// Whether the topology (declared edges, SimOptions::edges, or the
-  /// default complete graph) lets `from` send to `to`.
-  [[nodiscard]] bool can_send(Pid from, Pid to) const { return may_send(from, to); }
+  /// Whether stepping `pid` now may report a model violation (record one in
+  /// collect mode, throw otherwise): its pending write breaks a register
+  /// rule (checked by the same code do_write reports from) or names no
+  /// register, its pending send has no link or no destination, or a round
+  /// budget is declared, whose rounds are entered inside the resumed body
+  /// where the pending op does not show them. The explorer's partial-order
+  /// reduction orders such steps (detail::choice_footprint), and asks for
+  /// every footprint it builds, so the common cases stay inline.
+  [[nodiscard]] bool step_may_violate(Pid pid) const {
+    if (max_rounds_ >= 0) return true;
+    const OpRequest& req = pending_request(pid);
+    if (req.kind == OpKind::Send) {
+      return req.peer < 0 || req.peer >= n() || !may_send(pid, req.peer);
+    }
+    return (req.kind == OpKind::Write || req.kind == OpKind::WriteSnap) &&
+           write_breaks_rules(pid, req.reg, req.value);
+  }
 
   /// Executes `pid`'s pending op and resumes it until its next op (or
   /// termination). For Recv with multiple available senders, `recv_from`
@@ -435,7 +452,14 @@ class Sim {
 
   [[nodiscard]] Register& reg_at(int reg);
   [[nodiscard]] const Register& reg_at(int reg) const;
-  void check_pid(Pid pid) const;
+  void check_pid(Pid pid) const {
+    usage_check(pid >= 0 && pid < n(),
+                [&] { return "bad pid " + std::to_string(pid); });
+  }
+  /// Whether a write of `v` into `reg` by `pid` names no register or breaks
+  /// a register rule (step_may_violate's slow path).
+  [[nodiscard]] bool write_breaks_rules(Pid pid, int reg,
+                                        const Value& v) const;
   /// Reports a model-rule violation: records a ModelEvent in collect mode,
   /// throws ModelError otherwise.
   void violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg);

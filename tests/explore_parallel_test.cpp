@@ -1,6 +1,6 @@
-// Serial-vs-parallel explorer equivalence: every engine — the replay
-// oracle, the serial incremental engine, and the frontier-partitioned pool
-// at 1/2/8 threads — must enumerate the SAME multiset of executions
+// Serial-vs-parallel explorer equivalence: the replay oracle and Explorer
+// at 1, 2 and 8 threads (its serial path, then its frontier-partitioned
+// pool) must enumerate the SAME multiset of executions
 // (canonical schedule hashes with the decisions they reach) and report the
 // same count, across crash budgets 0–2 and across register-, snapshot-,
 // channel-, and Alg1/Alg2-based protocols. Plus edge cases: explore_until
@@ -17,7 +17,6 @@
 #include "core/alg1.h"
 #include "core/alg2.h"
 #include "sim/explore.h"
-#include "sim/explore_parallel.h"
 #include "support/replay_explorer.h"
 #include "tasks/approx.h"
 #include "topo/bmz.h"
@@ -59,8 +58,8 @@ struct Enumeration {
 };
 
 /// Runs one engine to exhaustion and fingerprints what it visited. The
-/// parallel engine serializes visitor calls, so the push_back is safe even
-/// for the multi-threaded engines.
+/// parallel path serializes visitor calls, so the push_back is safe at any
+/// thread count.
 template <class Engine>
 Enumeration enumerate(const Engine& engine, const Explorer::Factory& make) {
   Enumeration e;
@@ -72,23 +71,18 @@ Enumeration enumerate(const Engine& engine, const Explorer::Factory& make) {
   return e;
 }
 
-/// The core assertion: replay oracle == incremental serial == parallel at
-/// 2 and 8 threads, as multisets of executions.
+/// The core assertion: replay oracle == Explorer at 1, 2 and 8 threads, as
+/// multisets of executions.
 void expect_all_engines_agree(const Explorer::Factory& make,
                               ExploreOptions opts) {
   const Enumeration oracle = enumerate(ReplayExplorer(opts), make);
   EXPECT_GT(oracle.count, 0);
 
-  opts.threads = 1;
-  const Enumeration serial = enumerate(Explorer(opts), make);
-  EXPECT_EQ(serial.count, oracle.count);
-  EXPECT_EQ(serial.hashes, oracle.hashes);
-
-  for (int threads : {2, 8}) {
-    const Enumeration par =
-        enumerate(ParallelExplorer(opts, threads), make);
-    EXPECT_EQ(par.count, oracle.count) << "threads=" << threads;
-    EXPECT_EQ(par.hashes, oracle.hashes) << "threads=" << threads;
+  for (int threads : {1, 2, 8}) {
+    opts.threads = threads;
+    const Enumeration got = enumerate(Explorer(opts), make);
+    EXPECT_EQ(got.count, oracle.count) << "threads=" << threads;
+    EXPECT_EQ(got.hashes, oracle.hashes) << "threads=" << threads;
   }
 }
 
@@ -279,7 +273,7 @@ TEST(ExploreEdgeCases, MaxStepsAbortsInEveryEngine) {
 
 // The engine rewinds one live Sim, so it must schedule every step itself: a
 // factory that steps its Sim first (here, the Start steps) is a UsageError
-// in the serial engine and in the parallel one.
+// on the serial path and on the parallel one.
 TEST(ExploreEdgeCases, PreSteppedFactoryIsAUsageError) {
   const auto make = [] {
     auto sim = make_pair_sim();

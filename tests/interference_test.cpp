@@ -220,7 +220,7 @@ TEST(InterferenceCanary, AnalyzerWarnsOnExactlyThePrivateRegister) {
   const ProtocolSpec* spec = find_protocol("demo-false-independence");
   ASSERT_NE(spec, nullptr);
   const ProtocolReport rep = analyze_interference(*spec);
-  EXPECT_EQ(rep.mode, Mode::Interference);
+  EXPECT_EQ(rep.mode, LintMode::Interference);
   EXPECT_GT(rep.interference_ops, 0);
   EXPECT_GT(rep.interference_pairs, 0);
   EXPECT_EQ(rep.errors(), 0);

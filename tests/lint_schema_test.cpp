@@ -1,191 +1,27 @@
-// Schema tests for `bsr lint --json` (documented in docs/ANALYSIS.md): a
-// minimal JSON parser validates the document structure the sink emits, and
-// golden files pin the static tier's exact output so the schema cannot
-// drift silently. The golden files are regenerated with:
+// Schema tests for `bsr lint --json` (documented in docs/ANALYSIS.md): the
+// serve wire reader parses the document the sink emits to check its
+// structure, and golden files pin the static tier's exact output so the
+// schema cannot drift silently. The golden files are regenerated with:
 //
 //   ./scripts/update_goldens.sh
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstddef>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "analysis/diag.h"
 #include "analysis/lint.h"
+#include "serve/json.h"
 
 namespace bsr::analysis {
 namespace {
 
-// --- A deliberately tiny recursive-descent JSON parser: just enough to
-// check the lint schema (objects, arrays, strings, integers, booleans).
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, long, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  [[nodiscard]] bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  [[nodiscard]] const std::string& str() const {
-    return std::get<std::string>(v);
-  }
-  [[nodiscard]] long num() const { return std::get<long>(v); }
-  [[nodiscard]] bool boolean() const { return std::get<bool>(v); }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& s) : s_(s) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing JSON content");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) throw std::runtime_error("unexpected end of JSON");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error(std::string("expected '") + c + "' at byte " +
-                               std::to_string(pos_));
-    }
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return JsonValue{string()};
-    if (c == 't' || c == 'f') return boolean();
-    return number();
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) throw std::runtime_error("dangling escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) throw std::runtime_error("bad \\u");
-            const int code = std::stoi(s_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            // The sink only emits \u for control bytes < 0x20.
-            out += static_cast<char>(code);
-            break;
-          }
-          default: throw std::runtime_error("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  JsonValue boolean() {
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return JsonValue{true};
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return JsonValue{false};
-    }
-    throw std::runtime_error("bad literal");
-  }
-
-  JsonValue number() {
-    std::size_t end = pos_;
-    if (end < s_.size() && s_[end] == '-') ++end;
-    while (end < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[end])) != 0) {
-      ++end;
-    }
-    if (end == pos_) throw std::runtime_error("bad number");
-    const long n = std::stol(s_.substr(pos_, end - pos_));
-    pos_ = end;
-    return JsonValue{n};
-  }
-
-  JsonValue array() {
-    expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    if (!consume(']')) {
-      do {
-        arr->push_back(value());
-      } while (consume(','));
-      expect(']');
-    }
-    return JsonValue{arr};
-  }
-
-  JsonValue object() {
-    expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    if (!consume('}')) {
-      do {
-        const std::string key = string();
-        expect(':');
-        (*obj)[key] = value();
-      } while (consume(','));
-      expect('}');
-    }
-    return JsonValue{obj};
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+using serve::Json;
+using JsonObject = std::map<std::string, Json>;
+using JsonArray = std::vector<Json>;
 
 std::string lint_json(LintMode mode, std::vector<std::string> protocols) {
   LintOptions opts;
@@ -202,7 +38,7 @@ std::string lint_json(LintMode mode, std::vector<std::string> protocols) {
 /// The documented schema (docs/ANALYSIS.md): key presence and types for the
 /// top level, a protocol entry, a register row, and a diagnostic.
 void check_schema(const std::string& json) {
-  const JsonValue doc = Parser(json).parse();
+  const Json doc = Json::parse(json);
   ASSERT_TRUE(doc.is_object());
   const JsonObject& top = doc.object();
   ASSERT_TRUE(top.contains("protocols"));
@@ -210,7 +46,7 @@ void check_schema(const std::string& json) {
   ASSERT_TRUE(top.contains("warnings"));
   (void)top.at("errors").num();
   (void)top.at("warnings").num();
-  for (const JsonValue& pv : top.at("protocols").array()) {
+  for (const Json& pv : top.at("protocols").array()) {
     const JsonObject& p = pv.object();
     for (const char* key :
          {"name", "mode", "claim_source", "sampled", "executions",
@@ -237,7 +73,7 @@ void check_schema(const std::string& json) {
       }
       EXPECT_LE(itf.at("independent").num(), itf.at("pairs").num());
       (void)itf.at("truncated").boolean();
-      for (const JsonValue& dv : itf.at("detail").array()) {
+      for (const Json& dv : itf.at("detail").array()) {
         const JsonObject& d = dv.object();
         for (const char* key : {"a", "b", "independent", "reason"}) {
           ASSERT_TRUE(d.contains(key)) << "interference pair missing " << key;
@@ -255,7 +91,7 @@ void check_schema(const std::string& json) {
                               "processes"}) {
         ASSERT_TRUE(st.contains(key)) << "steps object missing " << key;
       }
-      for (const JsonValue& rv : st.at("processes").array()) {
+      for (const Json& rv : st.at("processes").array()) {
         const JsonObject& row = rv.object();
         for (const char* key : {"pid", "bound", "finite", "serve",
                                 "bound_eval", "observed", "verified"}) {
@@ -278,7 +114,7 @@ void check_schema(const std::string& json) {
     } else {
       EXPECT_EQ(verified, "");
     }
-    for (const JsonValue& rv : p.at("registers").array()) {
+    for (const Json& rv : p.at("registers").array()) {
       const JsonObject& r = rv.object();
       for (const char* key :
            {"index", "name", "writer", "declared_bits", "write_once",
@@ -289,7 +125,7 @@ void check_schema(const std::string& json) {
       (void)r.at("write_once").boolean();
       (void)r.at("read").boolean();
     }
-    for (const JsonValue& dv : p.at("diagnostics").array()) {
+    for (const Json& dv : p.at("diagnostics").array()) {
       const JsonObject& d = dv.object();
       for (const char* key : {"rule", "severity", "pid", "register",
                               "register_name", "step", "fingerprint",
@@ -314,7 +150,7 @@ TEST(LintSchema, SymbolicDocumentMatchesDocumentedSchema) {
   const std::string json = lint_json(
       LintMode::Symbolic, {"alg1", "sec4-quantized", "demo-holds-small-n"});
   check_schema(json);
-  const JsonValue doc = Parser(json).parse();
+  const Json doc = Json::parse(json);
   const JsonArray& protocols = doc.object().at("protocols").array();
   ASSERT_EQ(protocols.size(), 3u);
   EXPECT_EQ(protocols[0].object().at("mode").str(), "symbolic");
@@ -324,7 +160,7 @@ TEST(LintSchema, SymbolicDocumentMatchesDocumentedSchema) {
   // witness environment must appear in the static-width-all-n message.
   EXPECT_EQ(protocols[2].object().at("claim_verified").str(), "refuted");
   bool witnessed = false;
-  for (const JsonValue& dv : protocols[2].object().at("diagnostics").array()) {
+  for (const Json& dv : protocols[2].object().at("diagnostics").array()) {
     const JsonObject& d = dv.object();
     if (d.at("rule").str() == "static-width-all-n" &&
         d.at("message").str().find("(n=5, k=1, delta=1, t=0, b=1)") !=
@@ -339,7 +175,7 @@ TEST(LintSchema, InterferenceDocumentMatchesDocumentedSchema) {
   const std::string json = lint_json(LintMode::Interference,
                                      {"alg1", "demo-false-independence"});
   check_schema(json);
-  const JsonValue doc = Parser(json).parse();
+  const Json doc = Json::parse(json);
   const JsonArray& protocols = doc.object().at("protocols").array();
   ASSERT_EQ(protocols.size(), 2u);
   // alg1's relation is non-trivial in both directions: some pairs commute
@@ -359,7 +195,7 @@ TEST(LintSchema, StepsDocumentMatchesDocumentedSchema) {
   const std::string json =
       lint_json(LintMode::Steps, {"alg1", "demo-unbounded-loop"});
   check_schema(json);
-  const JsonValue doc = Parser(json).parse();
+  const Json doc = Json::parse(json);
   const JsonArray& protocols = doc.object().at("protocols").array();
   ASSERT_EQ(protocols.size(), 2u);
   // alg1: both processes provably within the 7-step claim, and the
@@ -367,7 +203,7 @@ TEST(LintSchema, StepsDocumentMatchesDocumentedSchema) {
   const JsonObject& alg1 = protocols[0].object().at("steps").object();
   EXPECT_EQ(alg1.at("claim").str(), "7");
   EXPECT_EQ(alg1.at("verified").str(), "all params");
-  for (const JsonValue& rv : alg1.at("processes").array()) {
+  for (const Json& rv : alg1.at("processes").array()) {
     const JsonObject& row = rv.object();
     EXPECT_TRUE(row.at("finite").boolean());
     EXPECT_EQ(row.at("bound_eval").num(), 7);
@@ -394,7 +230,7 @@ TEST(LintSchema, StepsDocumentMatchesDocumentedSchema) {
 TEST(LintSchema, BothDocumentMatchesDocumentedSchema) {
   const std::string json = lint_json(LintMode::Both, {"alg1"});
   check_schema(json);
-  const JsonValue doc = Parser(json).parse();
+  const Json doc = Json::parse(json);
   EXPECT_EQ(doc.object().at("protocols").array()[0].object().at("mode").str(),
             "both");
 }
@@ -403,8 +239,7 @@ TEST(LintSchema, EscapingRoundTrips) {
   // Every byte class the sink escapes survives a parse round-trip.
   const std::string nasty = "q\"b\\s\nn\rr\tt\bb\ff\x01u ⊥";
   const std::string quoted = "\"" + json_escape(nasty) + "\"";
-  Parser p(quoted);
-  EXPECT_EQ(std::get<std::string>(p.parse().v), nasty);
+  EXPECT_EQ(Json::parse(quoted).str(), nasty);
 }
 
 void check_golden(const std::string& file, LintMode mode,

@@ -270,7 +270,7 @@ TEST(Prover, HoldsSmallNCanaryRefutedOnlySymbolically) {
   EXPECT_EQ(stat.errors(), 0) << "canary must pass per-env static checks";
   EXPECT_EQ(stat.claim_verified, "");
   const ProtocolReport sym = analyze_symbolic(*spec);
-  EXPECT_EQ(sym.mode, Mode::Symbolic);
+  EXPECT_EQ(sym.mode, LintMode::Symbolic);
   EXPECT_EQ(sym.claim_verified, "refuted");
   EXPECT_GT(sym.errors(), 0);
   bool witnessed = false;

@@ -301,6 +301,19 @@ TEST(Service, KeyCoversModeOptionsAndProtocolSet) {
   EXPECT_EQ(k_static, again);
 }
 
+TEST(Service, ExploreKeyCoversItsOptions) {
+  serve::Service service;
+  const auto key = [&service](const char* req) {
+    return extract_key(service.handle_line(req));
+  };
+  const std::string base =
+      key(R"({"mode":"explore","k":2,"crashes":0,"max_steps":1000})");
+  EXPECT_NE(base, key(R"({"mode":"explore","k":3,"crashes":0,"max_steps":1000})"));
+  EXPECT_NE(base, key(R"({"mode":"explore","k":2,"crashes":1,"max_steps":1000})"));
+  EXPECT_NE(base, key(R"({"mode":"explore","k":2,"crashes":0,"max_steps":999})"));
+  EXPECT_EQ(base, key(R"({"mode":"explore","k":2,"crashes":0,"max_steps":1000})"));
+}
+
 TEST(Service, DocPayloadMatchesTheGeneratedReference) {
   serve::Service service;
   const std::string resp = service.handle_line(R"({"mode":"doc"})");

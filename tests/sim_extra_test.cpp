@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/explore.h"
 #include "sim/sched.h"
@@ -161,6 +162,52 @@ TEST(SimExtra, BottomRegisterWriteOnce) {
   sim.step(0);
   sim.step(0);
   EXPECT_THROW(sim.step(0), ModelError);
+}
+
+// The explorer's partial-order reduction orders a step only if the Sim says
+// it may violate, so the query must hold wherever stepping records a
+// violation: here it is exact, one clean and one breaking step per rule.
+TEST(SimExtra, StepMayViolateIsTrueExactlyWhereTheStepRecords) {
+  SimOptions opts;
+  opts.n = 3;
+  opts.edges = {{1}, {2}, {0}};  // process 1 may send to 2 only
+  Sim sim(std::move(opts));
+  const int own = sim.add_register("own", 1, kUnbounded, Value(0));
+  const int theirs = sim.add_register("theirs", 0, kUnbounded, Value(0));
+  const int once = sim.add_input_register("once", 1);
+  const int narrow = sim.add_register("narrow", 1, 1, Value(0));
+  const int bottom = sim.add_bottom_register("bottom", 1, 2);
+  const Value vec(std::vector<Value>(1, Value(0)));
+  sim.spawn(1, [own, theirs, once, narrow, bottom, vec](Env& env) -> Proc {
+    co_await env.write(own, Value(5));
+    co_await env.read(theirs);
+    co_await env.write(theirs, Value(1));  // Swmr
+    co_await env.write(once, Value(1));
+    co_await env.write(once, Value(2));    // WriteOnce
+    co_await env.write(narrow, Value(1));
+    co_await env.write(narrow, Value(2));  // Width
+    co_await env.write(narrow, vec);       // Width
+    co_await env.write(bottom, Value(2));
+    co_await env.write(bottom, Value(3));  // Bottom
+    co_await env.send(2, Value(0));
+    co_await env.send(0, Value(0));        // Topology
+    co_return Value(0);
+  });
+  sim.set_violation_collecting(true);
+  for (int step = 0; !sim.terminated(1); ++step) {
+    const bool may = sim.step_may_violate(1);
+    const std::size_t before = sim.model_violations().size();
+    sim.step(1);
+    EXPECT_EQ(may, sim.model_violations().size() > before) << "step " << step;
+  }
+  EXPECT_EQ(sim.model_violations().size(), 6u);
+
+  // A declared round budget makes every step may-violate: rounds are
+  // entered inside the resumed body, where the pending op does not show.
+  Sim rounds(1);
+  rounds.set_max_rounds(1);
+  rounds.spawn(0, [](Env&) -> Proc { co_return Value(0); });
+  EXPECT_TRUE(rounds.step_may_violate(0));
 }
 
 TEST(SimExtra, EnvExposesStepCount) {

@@ -359,7 +359,7 @@ TEST(StaticChecker, Alg1IsCleanWithZeroExecutions) {
   const ProtocolSpec* spec = find_protocol("alg1");
   ASSERT_NE(spec, nullptr);
   const ProtocolReport rep = analyze_static(*spec);
-  EXPECT_EQ(rep.mode, Mode::Static);
+  EXPECT_EQ(rep.mode, LintMode::Static);
   EXPECT_EQ(rep.executions, 0);
   EXPECT_EQ(rep.errors(), 0);
   EXPECT_LE(rep.max_bounded_bits_used, spec->claim.max_register_bits);

@@ -214,7 +214,7 @@ TEST(AnalyzeSteps, CanaryRaisesStaticTermination) {
   const ProtocolSpec* spec = find_protocol("demo-unbounded-loop");
   ASSERT_NE(spec, nullptr);
   const ProtocolReport rep = analyze_steps(*spec);
-  EXPECT_EQ(rep.mode, Mode::Steps);
+  EXPECT_EQ(rep.mode, LintMode::Steps);
   ASSERT_EQ(rep.diagnostics.size(), 1u);
   EXPECT_EQ(rep.diagnostics[0].rule, "static-termination");
   EXPECT_EQ(rep.diagnostics[0].pid, 0);
