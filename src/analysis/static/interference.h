@@ -91,6 +91,9 @@ struct Verdict {
 };
 
 /// Decides independence from footprints alone. Symmetric in its arguments.
+/// A pair with a crash operand is decided from pid, crash and may_violate
+/// alone, so the explorer builds a crash's peers without their register and
+/// channel fields.
 [[nodiscard]] Verdict classify(const Footprint& a, const Footprint& b);
 
 /// Human-readable justification for a verdict. `registers` resolves the

@@ -48,7 +48,7 @@ void add_sorted(std::vector<int>& v, int x) {
 }  // namespace
 
 void choice_footprint(const Sim& sim, const Choice& c,
-                      analysis::itf::Footprint& fp) {
+                      analysis::itf::Footprint& fp, bool accesses) {
   // Reset every field, keeping the register vectors' buffers.
   std::vector<int> reads;
   std::vector<int> writes;
@@ -62,6 +62,8 @@ void choice_footprint(const Sim& sim, const Choice& c,
     fp.crash = true;
     return;
   }
+  fp.may_violate = sim.step_may_violate(c.pid);
+  if (!accesses) return;
   const OpRequest& req = sim.pending_request(c.pid);
   switch (req.kind) {
     case OpKind::Start:
@@ -87,7 +89,6 @@ void choice_footprint(const Sim& sim, const Choice& c,
       fp.recv_from = c.recv_from;
       break;
   }
-  fp.may_violate = sim.step_may_violate(c.pid);
 }
 
 bool independent(const Sim& sim, const Choice& a, const Choice& b) {
@@ -179,9 +180,11 @@ using DfsLeafFn = std::function<bool(
 /// 1 without calling `leaf`. Under opts.por only complete states are
 /// claimed, and a repeated one counts 1 without calling `leaf`. A table
 /// cannot be combined with a depth limit without POR (UsageError): a cut
-/// subtree has no count to publish.
+/// subtree has no count to publish. Adds its work to `stats`; a node at the
+/// depth limit counts as a leaf.
 long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
-                     DfsCursor& cursor, const DfsLeafFn& leaf) {
+                     DfsCursor& cursor, const DfsLeafFn& leaf,
+                     ExploreStats& stats) {
   usage_check(sim.checkpointing(),
               "incremental_dfs: Sim checkpointing must be enabled");
   TranspositionTable* const tt = opts.tt.get();
@@ -247,13 +250,38 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
     return std::find(f.sleep.begin(), f.sleep.end(), c) != f.sleep.end();
   };
 
+  // Whether every choice below the crash `c` of frame `f` would be asleep
+  // there. A crash only sets its process's flag, so the child's choices are
+  // exactly the frame's minus the crashed process's, and minus every crash
+  // once the budget is spent; the child inherits one asleep if it sleeps
+  // here and commutes with `c`. An empty set is a complete state, which
+  // ends a schedule. classify decides a pair with a crash operand without
+  // register or channel fields, so the peers are built without them.
+  const auto crash_child_blocked = [&](const Frame& f, const Choice& c) {
+    const bool budget_left = f.crashes_before + 1 < opts.max_crashes;
+    detail::choice_footprint(sim, c, cand_fp);
+    bool any = false;
+    for (const Choice& e : f.cs) {
+      if (e.pid == c.pid || (e.kind == Choice::Kind::Crash && !budget_left)) {
+        continue;
+      }
+      if (!asleep(f, e)) return false;
+      detail::choice_footprint(sim, e, peer_fp, false);
+      if (!analysis::itf::classify(peer_fp, cand_fp).independent) return false;
+      any = true;
+    }
+    return any;
+  };
+
   // Applies the frame's next untried choice. When counting, a child whose
   // state the table holds with a published count adds that count and is
   // rewound at once: its subtree was explored before (the first visitor of
   // a state explores its whole subtree before publishing, and a repeat can
   // never be a state still on the current path — histories grow
   // monotonically along it). Under POR it skips sleeping choices instead
-  // (their interleavings commute into branches explored elsewhere). Returns
+  // (their interleavings commute into branches explored elsewhere), and a
+  // crash whose child would be sleep-blocked joins the sleep set unapplied,
+  // as backtracking out of that child would have put it there. Returns
   // false when every remaining sibling was memoized, asleep, or exhausted,
   // in which case the frame holds no applied choice.
   const auto advance = [&](Frame& f) {
@@ -264,15 +292,22 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
       child_sleep.clear();
       if (opts.por) {
         if (asleep(f, c)) continue;
+        // A crash adds no step, so its child's max_steps check is this
+        // node's, which passed.
+        if (c.kind == Choice::Kind::Crash && crash_child_blocked(f, c)) {
+          f.sleep.push_back(c);
+          continue;
+        }
         // The child inherits every sleeping choice that commutes with `c`:
         // such a choice is still enabled below `c` (independence preserves
         // enabledness), its pending op is unchanged (same-pid pairs are
         // never independent), and its subtree still commutes into the
-        // sibling branch that owns it.
+        // sibling branch that owns it. A crash's sleepers are built without
+        // register or channel fields, as above.
         if (!f.sleep.empty()) {
           detail::choice_footprint(sim, c, cand_fp);
           for (const Choice& d : f.sleep) {
-            detail::choice_footprint(sim, d, peer_fp);
+            detail::choice_footprint(sim, d, peer_fp, !cand_fp.crash);
             if (analysis::itf::classify(peer_fp, cand_fp).independent) {
               child_sleep.push_back(d);
             }
@@ -287,6 +322,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
         cursor.crashes += 1;
       }
       cursor.schedule.push_back(c);
+      stats.nodes += 1;
       if (counts != nullptr) {
         const TranspositionTable::Claim claim =
             counts->claim(sim.state_hash());
@@ -339,6 +375,8 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
       }
       idx.push_back(0);
       if (!advance(f)) {
+        // Under POR only sleep empties a node: the table sees leaves only.
+        if (opts.por) stats.sleep_blocked += 1;
         --depth;
         idx.pop_back();
         at_leaf = false;
@@ -348,6 +386,7 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
 
     if (at_leaf) {
       add_schedules(covered, 1);
+      stats.leaves += 1;
       // With a table each final configuration is visited once. Under POR the
       // table sees complete states only, and a repeated one counts without a
       // visit.
@@ -397,13 +436,15 @@ long incremental_dfs(Sim& sim, const ExploreOptions& opts, long depth_limit,
 }
 
 long explore_serial(const ExploreOptions& opts, const Explorer::Factory& make,
-                    const Explorer::StoppingVisitor& visit) {
+                    const Explorer::StoppingVisitor& visit,
+                    ExploreStats& stats) {
   std::unique_ptr<Sim> sim = fresh_sim(make, opts);
   DfsCursor cursor;
   return incremental_dfs(
       *sim, opts, -1, cursor,
       [&](Sim& s, const std::vector<Choice>& schedule,
-          const std::vector<std::size_t>&) { return visit(s, schedule); });
+          const std::vector<std::size_t>&) { return visit(s, schedule); },
+      stats);
 }
 
 // The parallel path. The choice tree is enumerated down to a (small)
@@ -444,6 +485,7 @@ struct JobOutcome {
   long count = 0;            ///< Schedules covered (in subtree order).
   bool stopped = false;      ///< The stopping visitor returned true.
   std::exception_ptr error;  ///< Exception thrown while exploring.
+  ExploreStats stats;        ///< The job's own work counters.
 };
 
 void atomic_min(std::atomic<std::size_t>& target, std::size_t v) {
@@ -466,6 +508,7 @@ std::vector<Job> enumerate_frontier(Sim& sim, const ExploreOptions& opts,
   std::vector<Job> jobs;
   exhausted = true;
   DfsCursor cursor;
+  ExploreStats uncounted;
   incremental_dfs(sim, opts, depth, cursor,
                   [&](Sim&, const std::vector<Choice>& schedule,
                       const std::vector<std::size_t>& idx) {
@@ -474,14 +517,16 @@ std::vector<Job> enumerate_frontier(Sim& sim, const ExploreOptions& opts,
                     }
                     jobs.push_back(Job{schedule, idx, cursor.sleep});
                     return false;
-                  });
+                  },
+                  uncounted);
   sim.rewind(sim.history_size());
   return jobs;
 }
 
 long explore_parallel(const ExploreOptions& opts, int threads,
                       const Explorer::Factory& make,
-                      const Explorer::StoppingVisitor& visit) {
+                      const Explorer::StoppingVisitor& visit,
+                      ExploreStats& stats) {
   // --- Phase 1: partition the choice tree at the frontier depth. ----------
   // Frontier enumeration must see every prefix: partitioning through the
   // shared transposition table would prune frontier nodes whose subtrees
@@ -555,7 +600,8 @@ long explore_parallel(const ExploreOptions& opts, int threads,
             atomic_min(barrier, j);
           }
           return stop;
-        });
+        },
+        out.stats);
   };
 
   {
@@ -577,6 +623,7 @@ long explore_parallel(const ExploreOptions& opts, int threads,
   }  // joins the pool: all outcomes are published before the merge
 
   // --- Phase 3: deterministic merge in canonical subtree order. -----------
+  for (const JobOutcome& o : outcomes) stats += o.stats;
   long merged = 0;
   for (const JobOutcome& o : outcomes) {
     if (o.error != nullptr) std::rethrow_exception(o.error);
@@ -588,18 +635,26 @@ long explore_parallel(const ExploreOptions& opts, int threads,
 
 }  // namespace
 
-long Explorer::explore(const Factory& make, const Visitor& visit) const {
-  return explore_until(make, [&](Sim& sim, const std::vector<Choice>& sched) {
-    visit(sim, sched);
-    return false;
-  });
+long Explorer::explore(const Factory& make, const Visitor& visit,
+                       ExploreStats* stats) const {
+  return explore_until(
+      make,
+      [&](Sim& sim, const std::vector<Choice>& sched) {
+        visit(sim, sched);
+        return false;
+      },
+      stats);
 }
 
-long Explorer::explore_until(const Factory& make,
-                             const StoppingVisitor& visit) const {
+long Explorer::explore_until(const Factory& make, const StoppingVisitor& visit,
+                             ExploreStats* stats) const {
   const int threads = resolve_explore_threads(opts_.threads);
-  if (threads > 1) return explore_parallel(opts_, threads, make, visit);
-  return explore_serial(opts_, make, visit);
+  ExploreStats counted;
+  const long count =
+      threads > 1 ? explore_parallel(opts_, threads, make, visit, counted)
+                  : explore_serial(opts_, make, visit, counted);
+  if (stats != nullptr) *stats = counted;
+  return count;
 }
 
 }  // namespace bsr::sim

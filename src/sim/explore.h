@@ -76,11 +76,39 @@ struct ExploreOptions {
   /// search tree is acyclic: result histories grow along every path), so
   /// violation findings are bit-identical to the unreduced search; the
   /// returned count shrinks to one representative schedule per commutation
-  /// class. Composes with `tt`: the table then sees only complete states (a
+  /// class. A crash is applied only where it can end a schedule: it commutes
+  /// with every other process's step that may not violate, and it only sets
+  /// its own process's flag, so the choices below it are this node's minus
+  /// the crashed process's (and minus every crash once the budget is spent).
+  /// When those are all asleep below it, the crash is put to sleep
+  /// unapplied, exactly as if its child had been entered and found blocked.
+  /// Composes with `tt`: the table then sees only complete states (a
   /// reduced visit explores an interior node's subtree only in part, so no
   /// interior node is claimed), the count stays the reduced search's, and
   /// the visitor runs once per distinct final configuration.
   bool por = false;
+};
+
+/// Work counters of one search. The caller passes one to Explorer::explore
+/// or explore_until, which overwrites it; each serial search and each
+/// parallel job counts into its own copy, and the parallel path sums the
+/// jobs' copies after its pool joins, so counting costs plain increments.
+/// The parallel path counts its jobs' subtrees only, not the frontier
+/// enumeration above them or the replay of each job's prefix, so only
+/// `leaves` is comparable between serial and parallel runs.
+struct ExploreStats {
+  long nodes = 0;   ///< Choices applied (a table hit's child included).
+  long leaves = 0;  ///< Complete executions reached; the count under `por`.
+  /// Nodes entered under `por` that applied no choice: each was asleep, or
+  /// was a crash whose child would have been sleep-blocked.
+  long sleep_blocked = 0;
+
+  ExploreStats& operator+=(const ExploreStats& o) {
+    nodes += o.nodes;
+    leaves += o.leaves;
+    sleep_blocked += o.sleep_blocked;
+    return *this;
+  }
 };
 
 /// Resolves the effective thread count: `requested` if > 0, else
@@ -103,13 +131,16 @@ class Explorer {
   explicit Explorer(ExploreOptions opts) : opts_(opts) {}
 
   /// Runs the DFS; returns the number of schedules (complete executions),
-  /// which the visitor sees all of only without ExploreOptions::tt.
-  long explore(const Factory& make, const Visitor& visit) const;
+  /// which the visitor sees all of only without ExploreOptions::tt. A
+  /// non-null `stats` receives the search's work counters.
+  long explore(const Factory& make, const Visitor& visit,
+               ExploreStats* stats = nullptr) const;
 
   /// Like explore, but the visitor may stop the search by returning true.
   using StoppingVisitor =
       std::function<bool(Sim&, const std::vector<Choice>&)>;
-  long explore_until(const Factory& make, const StoppingVisitor& visit) const;
+  long explore_until(const Factory& make, const StoppingVisitor& visit,
+                     ExploreStats* stats = nullptr) const;
 
  private:
   ExploreOptions opts_;
@@ -131,8 +162,10 @@ void legal_choices(const Sim& sim, int crashes_so_far,
 /// simulator's own answer, Sim::step_may_violate. Every field is reset; the
 /// register vectors keep their capacity, so a caller-owned footprint is
 /// built without allocating once it has grown to the protocol's widest op.
+/// With `accesses` false the register and channel fields stay empty;
+/// analysis::itf::classify decides a pair with a crash operand without them.
 void choice_footprint(const Sim& sim, const Choice& c,
-                      analysis::itf::Footprint& fp);
+                      analysis::itf::Footprint& fp, bool accesses = true);
 
 /// Whether `a` and `b` commute in the Sim's current state, per the shared
 /// decision procedure analysis::itf::classify over pending-op footprints.

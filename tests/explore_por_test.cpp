@@ -7,13 +7,20 @@
 // interleavings commute, step by step, into ones explored earlier, so the
 // SET of reachable final configurations and of collected violations is
 // exactly that of the unreduced search, and the returned count shrinks to
-// one representative per commutation class. A transposition table leaves
-// that count alone: it sees complete states only, so it deduplicates the
-// reduced search's leaves and the visitor runs once per distinct final
-// configuration. All of this is checked here
-// against the ReplayExplorer oracle, which knows nothing about footprints,
-// sleeping, or hashing; the full-registry sweep of the same properties
-// carries the `slow` label (explore_por_slow_test.cpp).
+// one representative per commutation class. A crash whose every child
+// choice would be asleep is put to sleep without being applied: a crash only
+// sets its process's flag, so the child's choices are the node's minus the
+// crashed process's (and minus every crash once the budget is spent), and
+// such a child ends no schedule. A transposition table leaves the count
+// alone: it sees complete states only, so it deduplicates the reduced
+// search's leaves and the visitor runs once per distinct final
+// configuration. All of this is checked here against the ReplayExplorer
+// oracle, which knows nothing about footprints, sleeping, or hashing, over
+// crash budgets 1 to 3 and 1 and 4 threads; the full-registry sweep of the
+// same properties carries the `slow` label (explore_por_slow_test.cpp).
+// The explorer's work counters (ExploreStats) are pinned on the
+// full-information search: 556 381 nodes, 55 160 of them sleep-blocked, and
+// 86 194 leaves.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sec7.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
@@ -83,6 +91,29 @@ std::unique_ptr<Sim> make_write_once_race() {
   return sim;
 }
 
+/// The write-once race beside a third process that writes its own register
+/// twice. Once one racer has written, the other's write may violate while
+/// the third can still step: a crash of the third then has a sleeping peer
+/// that may violate, which stays awake below it, so the crash is applied.
+std::unique_ptr<Sim> make_write_once_trio() {
+  auto sim = std::make_unique<Sim>(3);
+  const int w = sim->add_input_register("W", -1);
+  const int own = sim->add_register("O", 2, kUnbounded, Value(0));
+  auto racer = [w](Env& env) -> Proc {
+    co_await env.write(w, Value(7));
+    co_return Value(0);
+  };
+  sim->spawn(0, racer);
+  sim->spawn(1, racer);
+  sim->spawn(2, [own](Env& env) -> Proc {
+    co_await env.write(own, Value(1));
+    co_await env.write(own, Value(2));
+    co_return Value(0);
+  });
+  sim->set_violation_collecting(true);
+  return sim;
+}
+
 /// Two senders racing into one receiver: sends on distinct channels
 /// commute, a send and the matching receive do not.
 std::unique_ptr<Sim> make_recv_race() {
@@ -105,8 +136,9 @@ std::unique_ptr<Sim> make_recv_race() {
 
 /// The incremental engine with POR on and no table; finals via the
 /// from-scratch hash oracle so they are comparable with replay_oracle's.
+/// `stats`, if set, receives the search's work counters.
 Observed por_run(const Explorer::Factory& make, ExploreOptions opts,
-                 int threads = 1) {
+                 int threads = 1, ExploreStats* stats = nullptr) {
   Observed obs;
   opts.tt.reset();
   opts.por = true;
@@ -119,7 +151,8 @@ Observed por_run(const Explorer::Factory& make, ExploreOptions opts,
       },
       [&](Sim& sim, const std::vector<Choice>&) {
         obs.record(sim, zobrist::full_hash(sim));
-      });
+      },
+      stats);
   return obs;
 }
 
@@ -220,17 +253,103 @@ TEST(ExplorePor, ComposedWithTtStillCountsDistinctFinalConfigurations) {
   }
 }
 
+struct SmallSim {
+  const char* name;
+  std::unique_ptr<Sim> (*make)();
+  /// The reduced count at max_crashes 1, 2 and 3, as the search returned it
+  /// when it still applied every crash.
+  std::array<long, 3> por_counts;
+};
+
+/// Every small instance above: register pairs, a fully independent tree,
+/// may-violate writes and Recv sub-choices.
+constexpr std::array<SmallSim, 5> kSmallSims{{
+    {"pair", &make_pair_sim, {11, 29, 29}},
+    {"disjoint", &make_disjoint_sim, {10, 64, 226}},
+    {"write-once race", &make_write_once_race, {6, 14, 14}},
+    {"write-once trio", &make_write_once_trio, {30, 62, 134}},
+    {"recv race", &make_recv_race, {10, 38, 78}},
+}};
+
 TEST(ExplorePor, CrashChoicesStayExactUnderReduction) {
+  // A crash whose child would find every choice asleep is put to sleep
+  // without being applied, which must change no count. The sweep covers
+  // crash chains (budgets 2 and 3), a budget larger than some instances'
+  // process count, Recv sub-choices below a crash, and the guard where a
+  // sleeping peer's write may violate (the trio): that write stays awake
+  // below the crash, so the crash child is applied. Reordering a crash and
+  // a violating step changes neither finals nor violations, so only the
+  // pinned count sees that guard.
+  for (const SmallSim& sim : kSmallSims) {
+    for (const int crashes : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(sim.name) + ", max_crashes " +
+                   std::to_string(crashes));
+      ExploreOptions opts;
+      opts.max_crashes = crashes;
+      const Observed oracle = replay_oracle(sim.make, opts);
+      const Observed por = por_run(sim.make, opts);
+      EXPECT_EQ(por.finals, oracle.finals);
+      EXPECT_EQ(por.violations, oracle.violations);
+      EXPECT_LE(por.count, oracle.count);
+      EXPECT_EQ(por.count, sim.por_counts[crashes - 1]);
+      const Observed par = por_run(sim.make, opts, 4);
+      EXPECT_EQ(par.count, por.count);
+      EXPECT_EQ(par.finals, oracle.finals);
+      EXPECT_EQ(par.violations, oracle.violations);
+      const Observed por_tt = por_tt_run(sim.make, opts);
+      EXPECT_EQ(por_tt.count, por.count);
+      EXPECT_EQ(por_tt.visits, static_cast<long>(oracle.finals.size()));
+      EXPECT_EQ(por_tt.finals, oracle.finals);
+    }
+  }
+}
+
+TEST(ExplorePor, StatsCountTheReducedSearchSerialAndParallel) {
+  for (const SmallSim& sim : kSmallSims) {
+    for (const int crashes : {0, 1, 2}) {
+      SCOPED_TRACE(std::string(sim.name) + ", max_crashes " +
+                   std::to_string(crashes));
+      ExploreOptions opts;
+      opts.max_crashes = crashes;
+      ExploreStats serial;
+      const Observed por = por_run(sim.make, opts, 1, &serial);
+      EXPECT_EQ(serial.leaves, por.count);
+      EXPECT_GE(serial.nodes, serial.leaves);
+      ExploreStats par;
+      const Observed par_obs = por_run(sim.make, opts, 4, &par);
+      EXPECT_EQ(par.leaves, serial.leaves);
+      EXPECT_EQ(par.leaves, par_obs.count);
+    }
+  }
+}
+
+TEST(ExplorePor, StatsPinTheFullInformationSearch) {
+  // The full-information IC protocol (Algorithm 3), n = 3, k = 3, at most
+  // one crash, with a table: perfbench's explore-fullinfo instance. Every
+  // leaf is a distinct final. Each sleep-blocked node follows a step that
+  // ended its process, which a sleep set cannot foresee.
+  auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
   ExploreOptions opts;
+  opts.max_steps = 1000;
   opts.max_crashes = 1;
-  const Observed oracle = replay_oracle(make_pair_sim, opts);
-  const Observed por = por_run(make_pair_sim, opts);
-  EXPECT_EQ(por.finals, oracle.finals);
-  EXPECT_LE(por.count, oracle.count);
-  const Observed por_tt = por_tt_run(make_pair_sim, opts);
-  EXPECT_EQ(por_tt.count, por.count);
-  EXPECT_EQ(por_tt.visits, static_cast<long>(oracle.finals.size()));
-  EXPECT_EQ(por_tt.finals, oracle.finals);
+  opts.threads = 1;
+  opts.tt = tt;
+  opts.por = true;
+  ExploreStats stats;
+  long visits = 0;
+  const long count = Explorer(opts).explore(
+      [] {
+        auto sim = std::make_unique<Sim>(3);
+        core::install_full_info_ic(*sim, 3, {Value(0), Value(1), Value(2)});
+        return sim;
+      },
+      [&](Sim&, const std::vector<Choice>&) { ++visits; }, &stats);
+  ASSERT_EQ(tt->stats().drops, 0) << "probe window overflowed; grow the table";
+  EXPECT_EQ(count, 86'194);
+  EXPECT_EQ(visits, 86'194);
+  EXPECT_EQ(stats.leaves, 86'194);
+  EXPECT_EQ(stats.nodes, 556'381);
+  EXPECT_EQ(stats.sleep_blocked, 55'160);
 }
 
 TEST(ExplorePor, ParallelEngineExploresTheSameReducedTree) {

@@ -123,6 +123,29 @@ TEST(InterferenceClassify, CrashRules) {
   EXPECT_FALSE(cv.independent);
 }
 
+TEST(InterferenceClassify, CrashPairsIgnoreAccessFields) {
+  // The explorer builds a crash's peers without their register and channel
+  // fields (detail::choice_footprint with `accesses` false): a pair with a
+  // crash operand must be decided from pid, crash and may_violate alone.
+  Footprint busy;
+  busy.pid = 1;
+  busy.reads = {0, 2};
+  busy.writes = {1};
+  busy.send_to = 0;
+  Footprint bare;
+  bare.pid = 1;
+  for (const bool may_violate : {false, true}) {
+    busy.may_violate = may_violate;
+    bare.may_violate = may_violate;
+    for (const int pid : {0, 1}) {
+      const Verdict full = classify(crash_fp(pid), busy);
+      const Verdict light = classify(crash_fp(pid), bare);
+      EXPECT_EQ(full.independent, light.independent);
+      EXPECT_EQ(full.why, light.why);
+    }
+  }
+}
+
 TEST(InterferenceClassify, ChannelRules) {
   Footprint send;
   send.pid = 0;

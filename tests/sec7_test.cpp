@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "memory/iis.h"
 #include "sim/explore.h"
 #include "sim/sched.h"
+#include "sim/tt.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
 
@@ -158,7 +160,11 @@ TEST(Alg3, ExhaustiveTwoProcessOneRoundLandsInC1) {
   }
 }
 
-TEST(Alg3, RandomizedThreeProcessTwoRounds) {
+TEST(Alg3, ExhaustiveThreeProcessTwoRounds) {
+  // Lemma 7.1 over every schedule of n = 3, k = 2 with at most two crashes,
+  // for each of the 8 binary inputs. Sleep-set POR keeps one schedule per
+  // commutation class, the table visits each distinct final configuration
+  // once, and each distinct decision vector is checked against C^2 once.
   std::vector<Config> inits;
   for (std::uint64_t mask = 0; mask < 8; ++mask) {
     std::vector<Value> xs;
@@ -166,18 +172,38 @@ TEST(Alg3, RandomizedThreeProcessTwoRounds) {
     inits.push_back(memory::initial_full_info_config(xs));
   }
   const auto cfgs = memory::enumerate_full_info_configs(inits, 3, 2);
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+  long schedules = 0;
+  long finals = 0;
+  std::set<Config> decisions;
+  for (std::uint64_t mask = 0; mask < 8; ++mask) {
     std::vector<Value> xs;
-    for (int i = 0; i < 3; ++i) xs.emplace_back((seed >> i) & 1);
-    Sim sim(3);
-    install_full_info_ic(sim, 2, xs);
-    sim::RandomRunOptions opts;
-    opts.seed = seed;
+    for (int i = 0; i < 3; ++i) xs.emplace_back((mask >> i) & 1);
+    ExploreOptions opts;
+    opts.max_steps = 1000;
     opts.max_crashes = 2;
-    const sim::RunReport rep = run_random(sim, opts);
-    EXPECT_FALSE(rep.hit_step_limit);
-    EXPECT_TRUE(alg4_output_valid(cfgs, tasks::decisions_of(sim)))
-        << "seed " << seed;
+    opts.tt = std::make_shared<sim::TranspositionTable>(std::size_t{1} << 22);
+    opts.por = true;
+    schedules += Explorer(opts).explore(
+        [&xs] {
+          auto sim = std::make_unique<Sim>(3);
+          install_full_info_ic(*sim, 2, xs);
+          return sim;
+        },
+        [&](Sim& sim, const std::vector<Choice>&) {
+          ++finals;
+          for (int i = 0; i < 3; ++i) {
+            if (!sim.crashed(i)) {
+              EXPECT_TRUE(sim.terminated(i));
+            }
+          }
+          decisions.insert(tasks::decisions_of(sim));
+        });
+    ASSERT_EQ(opts.tt->stats().drops, 0) << "grow the table";
+  }
+  EXPECT_EQ(schedules, 166'528);
+  EXPECT_EQ(finals, 98'808);
+  for (const Config& d : decisions) {
+    EXPECT_TRUE(alg4_output_valid(cfgs, d)) << tasks::config_str(d);
   }
 }
 
