@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates the golden files pinned by lint_schema_test.cpp and the
 # generated protocol reference (docs/PROTOCOLS.md, from `bsr doc`). Both are
-# deterministic (the static tiers explore nothing; the steps tier's dynamic
-# half is exhaustive, so its counts are schedule-order independent), so the
-# output is byte-stable; CI re-runs this script and fails on any
-# uncommitted drift.
+# deterministic: the static tiers explore nothing; the steps tier's dynamic
+# half explores exhaustive specs whole, so their counts are schedule-order
+# independent, and runs sampled specs (the §6 stacks) under fixed seeds, so
+# their observed maxima are a function of every scheduler draw. The output
+# is byte-stable; CI re-runs this script and fails on any uncommitted
+# drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,8 +39,11 @@ gen tests/golden/lint_symbolic.json \
 gen tests/golden/lint_interference.json \
   lint --mode=interference --json --protocol alg1,demo-false-independence
 # The termination canary's undeclared [0, ∞] loop is an error, so exit 1.
+# The three §6 stacks are sampled: their observed maxima pin run_random's
+# draws, so a scheduler change that alters any schedule shows up here.
 gen tests/golden/lint_steps.json \
-  lint --mode=steps --json --protocol alg1,demo-unbounded-loop
+  lint --mode=steps --json \
+  --protocol alg1,demo-unbounded-loop,sec6-stack,abd-stack,ring-stack
 
 # The serve envelope golden (serve_test.cpp pins it byte-exact): one static
 # lint answered through the loopback service. Deterministic — static tier,

@@ -197,15 +197,18 @@ Proc abp_node_body(P p, Sec6Options opts, std::uint64_t input,
   });
   const LocalTask app = averaging_app(abd, n, me, opts.rounds, input, result);
 
+  // The last word read from each relevant peer register, keyed by pid.
+  // Built once: every pump overwrites every entry.
+  std::map<sim::Pid, std::uint64_t> peer;
+  for (const auto& [nb, _] : receivers) peer[nb] = 0;
+  for (const auto& [nb, _] : senders) peer[nb] = 0;
+
   std::uint64_t shadow = 0;  // local copy of my register's contents
   // The pump serves forever; its trip count has no finite upper bound.
   co_await p.serve([&]() -> Task<void> {
     app.rethrow_if_failed();
     // One pump: read every relevant peer register once (the peer map is
     // ordered, so reads happen in ascending pid order)...
-    std::map<sim::Pid, std::uint64_t> peer;
-    for (const auto& [nb, _] : receivers) peer[nb] = 0;
-    for (const auto& [nb, _] : senders) peer[nb] = 0;
     for (auto& [nb, word] : peer) {
       word = (co_await p.read(regs[static_cast<std::size_t>(nb)]))
                  .value.as_u64();

@@ -104,13 +104,15 @@ void legal_choices(const Sim& sim, int crashes_so_far,
   out.clear();
   for (Pid p = 0; p < sim.n(); ++p) {
     if (!sim.enabled(p)) continue;
-    const std::vector<Pid> sources = sim.recv_choices(p);
-    if (sources.empty()) {
+    if (sim.pending_request(p).kind != OpKind::Recv) {
       out.push_back(Choice{Choice::Kind::Step, p, -1});
-    } else {
-      for (Pid from : sources) {
-        out.push_back(Choice{Choice::Kind::Step, p, from});
-      }
+      continue;
+    }
+    // One list per thread: the parallel path's jobs call this concurrently.
+    thread_local std::vector<Pid> senders;
+    sim.recv_choices(p, senders);
+    for (Pid from : senders) {
+      out.push_back(Choice{Choice::Kind::Step, p, from});
     }
   }
   if (crashes_so_far < opts.max_crashes) {

@@ -65,19 +65,28 @@ RunReport run_random(Sim& sim, const RandomRunOptions& opts) {
   Rng rng(opts.seed);
   long steps = 0;
   int crashes = 0;
+  // Cleared, not rebuilt, every step: once they have grown to n, a sampled
+  // step allocates only what Sim::step itself does.
+  std::vector<Pid> enabled;
+  std::vector<Pid> alive;
+  std::vector<Pid> senders;
   while (steps < opts.max_steps) {
     if (opts.done && opts.done(sim)) return summarize(sim, steps, false);
 
-    std::vector<Pid> enabled;
-    std::vector<Pid> alive;
+    enabled.clear();
     for (Pid p = 0; p < sim.n(); ++p) {
       if (sim.enabled(p)) enabled.push_back(p);
-      if (sim.alive(p)) alive.push_back(p);
     }
     if (enabled.empty()) return summarize(sim, steps, false);
 
-    if (crashes < opts.max_crashes && !alive.empty() &&
+    // An enabled process is alive, so a victim always exists; `alive` is
+    // built only once the crash draw hits.
+    if (crashes < opts.max_crashes &&
         rng.chance(opts.crash_num, RandomRunOptions::kCrashDen)) {
+      alive.clear();
+      for (Pid p = 0; p < sim.n(); ++p) {
+        if (sim.alive(p)) alive.push_back(p);
+      }
       const Pid victim = alive[rng.below(alive.size())];
       sim.crash(victim);
       ++crashes;
@@ -86,8 +95,8 @@ RunReport run_random(Sim& sim, const RandomRunOptions& opts) {
 
     const Pid p = enabled[rng.below(enabled.size())];
     Pid from = -1;
-    const std::vector<Pid> sources = sim.recv_choices(p);
-    if (!sources.empty()) from = sources[rng.below(sources.size())];
+    sim.recv_choices(p, senders);
+    if (!senders.empty()) from = senders[rng.below(senders.size())];
     sim.step(p, from);
     ++steps;
   }

@@ -176,24 +176,28 @@ bool Sim::enabled(Pid pid) const {
   if (!alive(pid)) return false;
   const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
   if (ctl.pending.kind != OpKind::Recv) return true;
-  return !recv_choices(pid).empty();
+  for (Pid from = 0; from < n(); ++from) {
+    if (recv_ready(ctl, from)) return true;
+  }
+  return false;
 }
 
-std::vector<Pid> Sim::recv_choices(Pid pid) const {
+void Sim::recv_choices(Pid pid, std::vector<Pid>& out) const {
   check_pid(pid);
+  out.clear();
   const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  std::vector<Pid> out;
-  if (!alive(pid) || ctl.pending.kind != OpKind::Recv) return out;
-  const Pid filter = ctl.pending.peer;
+  if (!alive(pid) || ctl.pending.kind != OpKind::Recv) return;
   for (Pid from = 0; from < n(); ++from) {
-    if (filter != -1 && from != filter) continue;
-    if (!chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
-               static_cast<std::size_t>(pid)]
-             .empty()) {
-      out.push_back(from);
-    }
+    if (recv_ready(ctl, from)) out.push_back(from);
   }
-  return out;
+}
+
+bool Sim::recv_ready(const ProcCtl& ctl, Pid from) const {
+  if (from < 0 || from >= n()) return false;
+  if (ctl.pending.peer != -1 && from != ctl.pending.peer) return false;
+  return !chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
+                static_cast<std::size_t>(ctl.pid)]
+              .empty();
 }
 
 void Sim::step(Pid pid, Pid recv_from) {
@@ -721,12 +725,11 @@ void Sim::execute(ProcCtl& ctl, Pid recv_from) {
       break;
     }
     case OpKind::Recv: {
-      std::vector<Pid> choices = recv_choices(ctl.pid);
-      usage_check(!choices.empty(), "recv stepped with no queued message");
-      Pid from = choices.front();
+      Pid from = 0;  // the lowest-pid sender, unless `recv_from` names one
+      while (from < n() && !recv_ready(ctl, from)) ++from;
+      usage_check(from < n(), "recv stepped with no queued message");
       if (recv_from != -1) {
-        usage_check(std::find(choices.begin(), choices.end(), recv_from) !=
-                        choices.end(),
+        usage_check(recv_ready(ctl, recv_from),
                     "recv: chosen sender has no queued message");
         from = recv_from;
       }

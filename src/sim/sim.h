@@ -226,8 +226,11 @@ class Sim {
   /// are always executable; Recv needs a matching queued message.
   [[nodiscard]] bool enabled(Pid pid) const;
 
-  /// For a pid blocked on Recv: the senders with queued matching messages.
-  [[nodiscard]] std::vector<Pid> recv_choices(Pid pid) const;
+  /// Replaces `out` with the senders that have queued messages matching
+  /// `pid`'s pending Recv, in pid order; empties it unless `pid` is alive
+  /// and blocked on a Recv. Filling a caller-owned buffer lets a scheduler
+  /// reuse one vector across steps.
+  void recv_choices(Pid pid, std::vector<Pid>& out) const;
 
   /// The pending atomic op `pid` would execute on its next step
   /// (OpKind::Start before the first). Exposed so the explorer's
@@ -464,6 +467,10 @@ class Sim {
   /// throws ModelError otherwise.
   void violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg);
   [[nodiscard]] bool may_send(Pid from, Pid to) const;
+  /// Whether the Recv pending in `ctl` can take a message from `from` now:
+  /// `from` is a pid its filter admits and its channel to `ctl.pid` holds
+  /// one.
+  [[nodiscard]] bool recv_ready(const ProcCtl& ctl, Pid from) const;
   /// Executes the pending request of `pid` into its result slot.
   void execute(ProcCtl& ctl, Pid recv_from);
   void do_write(Pid pid, int reg, const Value& v);

@@ -1,14 +1,18 @@
-// The explorer's per-node bookkeeping stays off the heap.
+// The explorer's per-node bookkeeping and the random scheduler's per-step
+// bookkeeping stay off the heap.
 //
 // A search node should cost its Sim::step: the DFS keeps its frames, choice
 // lists, sleep sets and POR footprints in buffers that outlive the node, so
 // once the search has reached its deepest and widest nodes it allocates
 // only for what the protocol itself builds (composite Values, rebuilt
-// coroutine frames). This binary replaces the global operator new with a
-// counting one and bounds the allocations of one serial exploration of the
-// full-information protocol (Algorithm 3) with the transposition table and
-// sleep-set POR, the configuration that exercises every reused buffer. The
-// explorer's own counters pin the search's size.
+// coroutine frames). A sampled step should cost its Sim::step too:
+// run_random keeps its enabled, alive and Recv-sender lists across steps.
+// This binary replaces the global operator new with a counting one and
+// bounds the allocations of one serial exploration of the full-information
+// protocol (Algorithm 3) with the transposition table and sleep-set POR,
+// the configuration that exercises every reused buffer, and of the seeded
+// runs `bsr lint` samples the §6 register stack with. The explorer's own
+// counters and the runs' step counts pin the work's size.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +22,10 @@
 #include <new>
 #include <vector>
 
+#include "core/sec6.h"
 #include "core/sec7.h"
 #include "sim/explore.h"
+#include "sim/sched.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
 
@@ -30,7 +36,10 @@ std::atomic<long> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// `operator new` and `operator delete` are kept out of line: once both are
+// inlined into a caller, `free` on a pointer from `malloc` under them reads
+// as a mismatched pair to -Wmismatched-new-delete (GCC 12, Release builds).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -38,8 +47,6 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-// Kept out of line: inlined into a caller, `free` on a pointer from
-// `operator new` reads as a mismatched pair to -Wmismatched-new-delete.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -86,6 +93,36 @@ TEST(ExploreAlloc, FullInformationSearchAllocatesLessThanOncePerFourNodes) {
   EXPECT_LT(allocations * 4, kBoundNodes)
       << allocations << " allocations over " << stats.nodes << " nodes ("
       << finals << " finals)";
+}
+
+TEST(SampledAlloc, RegisterStackStepAllocatesLessThanTwice) {
+  // sec6-stack's registry instance (n = 3, t = 1, inputs {0, 1, 1}) over
+  // the three seeds `bsr lint` samples it with, each run until every
+  // process decided. What is left per step is the protocol's own: the
+  // builder combinators' per-pump Task frames and P::when's callable.
+  long steps = 0;
+  long allocations = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Sim sim(3);
+    auto result = std::make_shared<core::Sec6Result>(3);
+    core::install_register_stack(sim, core::Sec6Options{1, /*rounds=*/1},
+                                 {0, 1, 1}, result);
+    RandomRunOptions opts;
+    opts.seed = seed;
+    opts.done = core::Sec6Result::done_predicate(result);
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    const RunReport rep = run_random(sim, opts);
+    g_counting.store(false, std::memory_order_relaxed);
+    allocations += g_allocations.load(std::memory_order_relaxed);
+    ASSERT_TRUE(opts.done(sim)) << "seed " << seed << " did not decide";
+    steps += rep.steps;
+  }
+  // The draws decide the step count: a scheduler change that alters any
+  // schedule moves it (tests/golden/lint_steps.json pins the same runs).
+  EXPECT_EQ(steps, 136'802);
+  EXPECT_LT(allocations, 2 * steps)
+      << allocations << " allocations over " << steps << " steps";
 }
 
 }  // namespace

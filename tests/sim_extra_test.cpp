@@ -69,10 +69,56 @@ TEST(SimExtra, RecvSourceFilterBlocksOtherSenders) {
   sim.step(2);
   sim.step(2);
   EXPECT_TRUE(sim.enabled(0));
-  EXPECT_EQ(sim.recv_choices(0), std::vector<Pid>{2});
+  std::vector<Pid> senders;
+  sim.recv_choices(0, senders);
+  EXPECT_EQ(senders, std::vector<Pid>{2});
   sim.step(0);
   EXPECT_EQ(sim.decision(0).as_u64(), 22u);
   EXPECT_EQ(sim.channel_size(1, 0), 1u);  // p1's message still queued
+}
+
+TEST(SimExtra, RecvSenderChoiceIsCheckedAgainstQueuedChannels) {
+  // p0 receives twice from any sender; p1 and p2 each send it their pid. A
+  // rejected sender choice crash-stops the stepped process, so each
+  // rejection gets its own world.
+  const auto make = [] {
+    auto sim = std::make_unique<Sim>(3);
+    sim->spawn(0, [](Env& env) -> Proc {
+      const OpResult a = co_await env.recv();
+      const OpResult b = co_await env.recv();
+      co_return Value(static_cast<std::uint64_t>(a.from * 10 + b.from));
+    });
+    for (Pid p : {1, 2}) {
+      sim->spawn(p, [](Env& env) -> Proc {
+        co_await env.send(0, Value(env.pid()));
+        co_return Value(0);
+      });
+    }
+    sim->step(0);
+    for (Pid p : {1, 2}) {
+      sim->step(p);
+      sim->step(p);
+    }
+    return sim;
+  };
+  EXPECT_THROW(make()->step(0, 0), UsageError);  // p0 never sends to itself
+  EXPECT_THROW(make()->step(0, 3), UsageError);  // no such process
+
+  auto sim = make();
+  std::vector<Pid> senders{9};
+  sim->recv_choices(1, senders);  // terminated, not blocked on a Recv
+  EXPECT_TRUE(senders.empty());
+  sim->recv_choices(0, senders);
+  EXPECT_EQ(senders, (std::vector<Pid>{1, 2}));
+  sim->step(0, 2);  // the scheduler may pick the later channel first
+  sim->recv_choices(0, senders);
+  EXPECT_EQ(senders, std::vector<Pid>{1});
+  sim->step(0);  // -1: the lowest-pid sender left
+  EXPECT_EQ(sim->decision(0).as_u64(), 21u);
+
+  auto drained = make();
+  drained->step(0, 2);
+  EXPECT_THROW(drained->step(0, 2), UsageError);  // p2's channel is empty
 }
 
 TEST(SimExtra, StepBlockRejectsNonWriteSnapOps) {

@@ -203,7 +203,9 @@ TEST(Sim, RecvBlocksUntilMessageAvailable) {
   sim.step(1);
   sim.step(1);  // send
   EXPECT_TRUE(sim.enabled(0));
-  EXPECT_EQ(sim.recv_choices(0), std::vector<Pid>{1});
+  std::vector<Pid> senders{7, 8};  // stale contents are replaced
+  sim.recv_choices(0, senders);
+  EXPECT_EQ(senders, std::vector<Pid>{1});
   sim.step(0);
   EXPECT_EQ(sim.decision(0).as_u64(), 5u);
 }
