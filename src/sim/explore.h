@@ -10,8 +10,8 @@
 // properties of §7.
 //
 // `Explorer` keeps ONE live Sim per search and backtracks incrementally:
-// the Sim records an undo log (see Sim::set_checkpointing), so taking a
-// sibling branch rewinds the world to the divergence point instead of
+// the Sim records its step history (see Sim::set_checkpointing), so taking
+// a sibling branch rewinds the world to the divergence point instead of
 // rebuilding the Sim and replaying the whole choice prefix. That is why a
 // factory must hand over a Sim that has not stepped yet. With `threads` > 1
 // (or BSR_EXPLORE_THREADS set), it partitions the choice tree at a frontier

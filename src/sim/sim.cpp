@@ -166,37 +166,26 @@ void Sim::spawn(Pid pid, const std::function<Proc(Env&)>& body) {
   slot.spawned = true;
 }
 
-bool Sim::alive(Pid pid) const {
-  check_pid(pid);
-  const auto& s = ctls_[static_cast<std::size_t>(pid)];
-  return s.spawned && !s.ctl.terminated && !s.ctl.crashed;
-}
-
-bool Sim::enabled(Pid pid) const {
-  if (!alive(pid)) return false;
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  if (ctl.pending.kind != OpKind::Recv) return true;
-  for (Pid from = 0; from < n(); ++from) {
-    if (recv_ready(ctl, from)) return true;
-  }
-  return false;
-}
-
 void Sim::recv_choices(Pid pid, std::vector<Pid>& out) const {
-  check_pid(pid);
   out.clear();
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  if (!alive(pid) || ctl.pending.kind != OpKind::Recv) return;
+  if (!alive(pid) || pending_request(pid).kind != OpKind::Recv) return;
   for (Pid from = 0; from < n(); ++from) {
-    if (recv_ready(ctl, from)) out.push_back(from);
+    if (recv_ready(pid, from)) out.push_back(from);
   }
 }
 
-bool Sim::recv_ready(const ProcCtl& ctl, Pid from) const {
+bool Sim::recv_ready(Pid pid, Pid from) const {
+  if (from == -1) {
+    for (from = 0; from < n(); ++from) {
+      if (recv_ready(pid, from)) return true;
+    }
+    return false;
+  }
   if (from < 0 || from >= n()) return false;
-  if (ctl.pending.peer != -1 && from != ctl.pending.peer) return false;
+  const Pid filter = pending_request(pid).peer;
+  if (filter != -1 && from != filter) return false;
   return !chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
-                static_cast<std::size_t>(ctl.pid)]
+                static_cast<std::size_t>(pid)]
               .empty();
 }
 
@@ -206,12 +195,28 @@ void Sim::step(Pid pid, Pid recv_from) {
   });
   ProcSlot& slot = ctls_[static_cast<std::size_t>(pid)];
   ProcCtl& ctl = slot.ctl;
-  UndoRecord undo;
-  if (checkpointing_) undo = capture_undo(ctl);
+  const auto j = static_cast<std::size_t>(ctl.steps);
+  // A frame left ahead by `rewind` has taken this step already: the
+  // process's pending request is the recorded one.
+  const bool was_ahead = ahead(slot);
+  const OpRequest& req = was_ahead ? slot.history[j].request : ctl.pending;
+  if (checkpointing_) {
+    const Register* w =
+        req.kind == OpKind::Write || req.kind == OpKind::WriteSnap
+            ? &reg_at(req.reg)
+            : nullptr;
+    undo_.push_back(UndoRecord{
+        .pid = pid,
+        .old_value = w != nullptr ? w->value : Value(),
+        .old_max_bits = w != nullptr ? w->max_bits_written : 0,
+        .traced = opts_.record_trace,
+        .old_violations = violations_.size()});
+  }
   reg_ops_in_step_ = 0;
   try {
-    execute(ctl, recv_from);
+    execute(ctl, req, recv_from);
   } catch (...) {
+    if (checkpointing_) undo_.pop_back();
     ctl.crashed = true;  // a model-violating process takes no further steps
     throw;
   }
@@ -220,7 +225,7 @@ void Sim::step(Pid pid, Pid recv_from) {
   // above guarantee this today; the counter keeps it an *enforced*
   // invariant if execute() ever grows composite paths.
   if (collect_violations_) {
-    const int allowed = ctl.pending.kind == OpKind::WriteSnap ? 2 : 1;
+    const int allowed = req.kind == OpKind::WriteSnap ? 2 : 1;
     if (reg_ops_in_step_ > allowed) {
       violate(ModelEvent::Kind::Atomicity, pid, -1,
               "step of process " + std::to_string(pid) + " performed " +
@@ -229,42 +234,36 @@ void Sim::step(Pid pid, Pid recv_from) {
                   std::to_string(allowed) + ")");
     }
   }
-  if (opts_.record_trace) {
-    trace_.push_back(TraceEvent{pid, ctl.pending, ctl.result});
-  }
-  // A frame left ahead by `rewind` already consumed a result at this step;
-  // if it is this one, the frame is reused as it stands, otherwise it is
-  // rebuilt through the kept prefix and resumed below.
+  if (opts_.record_trace) trace_.push_back(TraceEvent{pid, req, ctl.result});
+  stats_.steps += 1;
+  // The frame that took this step before reuses it as it stands if it
+  // consumed this result; otherwise the history is cut after the step and
+  // the frame is rebuilt through the kept prefix and resumed below.
   bool reuse = false;
   if (checkpointing_) {
-    undo.traced = opts_.record_trace;
-    undo_.push_back(std::move(undo));
-    if (!slot.ahead.empty()) {
-      const FrameStep& next = slot.ahead.back();
-      reuse = next.reusable && next.result.value == ctl.result.value &&
-              next.result.from == ctl.result.from;
-      if (!reuse) {
-        OpResult fresh = std::move(ctl.result);
+    if (!was_ahead) {
+      slot.history.push_back(StepRecord{std::move(ctl.pending), ctl.result});
+    } else {
+      StepRecord& rec = slot.history[j];
+      reuse = rec.reusable && rec.result.value == ctl.result.value &&
+              rec.result.from == ctl.result.from;
+      if (reuse) {
+        stats_.reused += 1;
+      } else {
+        rec.result = std::move(ctl.result);
+        rec.reusable = true;
+        slot.history.resize(j + 1);
         rebuild_coroutine(pid);
-        ctl.result = std::move(fresh);
+        ctl.result = slot.history[j].result;
       }
     }
-    result_log_[static_cast<std::size_t>(pid)].push_back(ctl.result);
   }
   // The result history pins the coroutine state (bodies are deterministic),
   // so hashing it is how the "program counter" enters the state hash.
   if (hashing_) hash_ ^= zobrist::hist_component(pid, ctl.steps, ctl.result);
   ctl.steps += 1;
   total_steps_ += 1;
-  if (!reuse) {
-    resume(ctl);
-    return;
-  }
-  FrameStep& next = slot.ahead.back();
-  ctl.pending = std::move(next.pending);
-  ctl.terminated = next.terminated;
-  ctl.decision = std::move(next.decision);
-  slot.ahead.pop_back();
+  if (!reuse) resume(ctl);
 }
 
 void Sim::step_block(const std::vector<Pid>& pids) {
@@ -299,6 +298,7 @@ void Sim::step_block(const std::vector<Pid>& pids) {
     }
     ctl.steps += 1;
     total_steps_ += 1;
+    stats_.steps += 1;
   }
   for (Pid pid : pids) resume(ctls_[static_cast<std::size_t>(pid)].ctl);
 }
@@ -306,12 +306,9 @@ void Sim::step_block(const std::vector<Pid>& pids) {
 void Sim::crash(Pid pid) {
   check_pid(pid);
   auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  usage_check(!ctl.terminated, "crash: process already terminated");
+  usage_check(!terminated(pid), "crash: process already terminated");
   if (checkpointing_ && !ctl.crashed) {
-    UndoRecord u;
-    u.kind = UndoRecord::Kind::Crash;
-    u.pid = pid;
-    undo_.push_back(std::move(u));
+    undo_.push_back(UndoRecord{.kind = UndoRecord::Kind::Crash, .pid = pid});
     if (hashing_) hash_ ^= zobrist::crash_component(pid);
   }
   ctl.crashed = true;
@@ -343,9 +340,13 @@ void Sim::set_max_rounds(long rounds) {
 void Sim::note_round(Pid pid, long idx) {
   check_pid(pid);
   if (rebuilding_ || max_rounds_ < 0) return;
-  // Only step() resumes a body while checkpointing, after pushing the
-  // step's undo record.
-  if (checkpointing_ && !undo_.empty()) undo_.back().reusable = false;
+  // Only step() resumes a body while checkpointing, after recording the
+  // step and counting it in `steps`.
+  ProcSlot& slot = ctls_[static_cast<std::size_t>(pid)];
+  if (checkpointing_ && slot.ctl.steps > 0) {
+    slot.history[static_cast<std::size_t>(slot.ctl.steps - 1)].reusable =
+        false;
+  }
   if (idx > max_rounds_) {
     violate(ModelEvent::Kind::Round, pid, -1,
             "process " + std::to_string(pid) + " entered round " +
@@ -362,8 +363,8 @@ void Sim::set_state_hashing(bool on) {
   usage_check(total_steps_ == 0,
               "set_state_hashing: must be enabled before the first step");
   usage_check(checkpointing_,
-              "set_state_hashing: requires checkpointing (the result log is "
-              "part of the hashed state)");
+              "set_state_hashing: requires checkpointing (the step history "
+              "is part of the hashed state)");
   hashing_ = true;
   hash_ = 0;
   // Fold in the initial configuration: register contents, plus any
@@ -387,142 +388,113 @@ std::uint64_t Sim::state_hash() const {
 
 void Sim::set_checkpointing(bool on) {
   if (on == checkpointing_) return;
-  usage_check(on || !hashing_,
-              "set_checkpointing: disable state hashing first (the hash "
-              "depends on the result log)");
   if (on) {
     usage_check(total_steps_ == 0,
                 "set_checkpointing: must be enabled before the first step "
                 "(the undo log must cover the whole history)");
-    result_log_.assign(ctls_.size(), {});
   } else {
+    usage_check(!hashing_,
+                "set_checkpointing: disable state hashing first (the hash "
+                "depends on the step history)");
     for (Pid p = 0; p < n(); ++p) {
-      if (!ctls_[static_cast<std::size_t>(p)].ahead.empty()) {
-        rebuild_coroutine(p);
-      }
+      ProcSlot& slot = ctls_[static_cast<std::size_t>(p)];
+      if (ahead(slot)) rebuild_coroutine(p);
+      slot.history.clear();
     }
     undo_.clear();
-    result_log_.clear();
   }
   checkpointing_ = on;
-}
-
-Sim::UndoRecord Sim::capture_undo(const ProcCtl& ctl) const {
-  UndoRecord u;
-  u.kind = UndoRecord::Kind::Step;
-  u.pid = ctl.pid;
-  u.request = ctl.pending;
-  u.old_violations = violations_.size();
-  if (u.request.kind == OpKind::Write || u.request.kind == OpKind::WriteSnap) {
-    const Register& r = reg_at(u.request.reg);
-    u.old_value = r.value;
-    u.old_max_bits = r.max_bits_written;
-  }
-  return u;
-}
-
-void Sim::undo_shared(const UndoRecord& u, const OpResult& result) {
-  const OpRequest& req = u.request;
-  switch (req.kind) {
-    case OpKind::Start:
-      break;
-    case OpKind::Read:
-      reg_at(req.reg).reads -= 1;
-      break;
-    case OpKind::Write:
-    case OpKind::WriteSnap: {
-      Register& r = reg_at(req.reg);
-      if (hashing_) {
-        hash_ ^= zobrist::reg_component(req.reg, r.value) ^
-                 zobrist::reg_component(req.reg, u.old_value);
-      }
-      r.value = u.old_value;
-      r.max_bits_written = u.old_max_bits;
-      r.writes -= 1;
-      break;
-    }
-    case OpKind::Snapshot:
-      break;
-    case OpKind::Send: {
-      const std::size_t c = static_cast<std::size_t>(u.pid) *
-                                static_cast<std::size_t>(n()) +
-                            static_cast<std::size_t>(req.peer);
-      auto& q = chan_[c];
-      if (hashing_) {
-        hash_ ^= zobrist::chan_component(
-            u.pid, req.peer, chan_popped_[c] + static_cast<long>(q.size()) - 1,
-            q.back());
-      }
-      q.pop_back();
-      total_sends_ -= 1;
-      break;
-    }
-    case OpKind::Recv: {
-      // The delivered payload goes back to the head of the channel of its
-      // actual sender (the request's `peer` is only a filter).
-      const std::size_t c = static_cast<std::size_t>(result.from) *
-                                static_cast<std::size_t>(n()) +
-                            static_cast<std::size_t>(u.pid);
-      chan_popped_[c] -= 1;
-      if (hashing_) {
-        hash_ ^= zobrist::chan_component(result.from, u.pid, chan_popped_[c],
-                                         result.value);
-      }
-      chan_[c].push_front(result.value);
-      break;
-    }
-  }
-  if (req.kind == OpKind::Snapshot || req.kind == OpKind::WriteSnap) {
-    for (int reg : req.regs) reg_at(reg).reads -= 1;
-  }
 }
 
 void Sim::rewind(std::size_t k) {
   usage_check(checkpointing_, "rewind: checkpointing is not enabled");
   usage_check(k <= undo_.size(), "rewind: fewer recorded actions than k");
-  for (; k > 0; --k) {
-    UndoRecord& u = undo_.back();
+  for (; k > 0; --k, undo_.pop_back()) {
+    const UndoRecord& u = undo_.back();
     ProcSlot& slot = ctls_[static_cast<std::size_t>(u.pid)];
-    ProcCtl& ctl = slot.ctl;
     if (u.kind == UndoRecord::Kind::Crash) {
       if (hashing_) hash_ ^= zobrist::crash_component(u.pid);
-      ctl.crashed = false;
-    } else {
-      auto& log = result_log_[static_cast<std::size_t>(u.pid)];
-      if (hashing_) {
-        hash_ ^= zobrist::hist_component(u.pid, ctl.steps - 1, log.back());
-        for (std::size_t i = u.old_violations; i < violations_.size(); ++i) {
-          hash_ ^= zobrist::viol_component(violations_[i]);
-        }
-      }
-      undo_shared(u, log.back());
-      if (violations_.size() > u.old_violations) {
-        violations_.resize(u.old_violations);
-      }
-      if (u.traced) trace_.pop_back();
-      ctl.steps -= 1;
-      total_steps_ -= 1;
-      // The frame stays where it is: remember what it consumed and became,
-      // and put the control block back to just before the step (a process
-      // that steps is alive and undecided).
-      slot.ahead.push_back(
-          FrameStep{std::move(log.back()),
-                    std::exchange(ctl.pending, std::move(u.request)),
-                    std::exchange(ctl.terminated, false),
-                    std::exchange(ctl.decision, Value()), u.reusable});
-      log.pop_back();
+      slot.ctl.crashed = false;
+      continue;
     }
-    undo_.pop_back();
+    // The frame stays where it is; only the logical position moves back,
+    // over a record the history keeps for the step's re-execution.
+    const long j = --slot.ctl.steps;
+    total_steps_ -= 1;
+    stats_.rewound += 1;
+    const StepRecord& step = slot.history[static_cast<std::size_t>(j)];
+    const OpRequest& req = step.request;
+    if (hashing_) {
+      hash_ ^= zobrist::hist_component(u.pid, j, step.result);
+      for (std::size_t i = u.old_violations; i < violations_.size(); ++i) {
+        hash_ ^= zobrist::viol_component(violations_[i]);
+      }
+    }
+    switch (req.kind) {
+      case OpKind::Start:
+      case OpKind::Snapshot:
+        break;
+      case OpKind::Read:
+        reg_at(req.reg).reads -= 1;
+        break;
+      case OpKind::Write:
+      case OpKind::WriteSnap: {
+        Register& r = reg_at(req.reg);
+        if (hashing_) {
+          hash_ ^= zobrist::reg_component(req.reg, r.value) ^
+                   zobrist::reg_component(req.reg, u.old_value);
+        }
+        r.value = u.old_value;
+        r.max_bits_written = u.old_max_bits;
+        r.writes -= 1;
+        break;
+      }
+      case OpKind::Send: {
+        const std::size_t c = static_cast<std::size_t>(u.pid) *
+                                  static_cast<std::size_t>(n()) +
+                              static_cast<std::size_t>(req.peer);
+        auto& q = chan_[c];
+        if (hashing_) {
+          hash_ ^= zobrist::chan_component(
+              u.pid, req.peer,
+              chan_popped_[c] + static_cast<long>(q.size()) - 1, q.back());
+        }
+        q.pop_back();
+        total_sends_ -= 1;
+        break;
+      }
+      case OpKind::Recv: {
+        // The delivered payload goes back to the head of the channel of
+        // its actual sender (the request's `peer` is only a filter).
+        const OpResult& got = step.result;
+        const std::size_t c = static_cast<std::size_t>(got.from) *
+                                  static_cast<std::size_t>(n()) +
+                              static_cast<std::size_t>(u.pid);
+        chan_popped_[c] -= 1;
+        if (hashing_) {
+          hash_ ^= zobrist::chan_component(got.from, u.pid, chan_popped_[c],
+                                           got.value);
+        }
+        chan_[c].push_front(got.value);
+        break;
+      }
+    }
+    if (req.kind == OpKind::Snapshot || req.kind == OpKind::WriteSnap) {
+      for (int reg : req.regs) reg_at(reg).reads -= 1;
+    }
+    if (violations_.size() > u.old_violations) {
+      violations_.resize(u.old_violations);
+    }
+    if (u.traced) trace_.pop_back();
   }
 }
 
 void Sim::rebuild_coroutine(Pid pid) {
   auto& slot = ctls_[static_cast<std::size_t>(pid)];
   ProcCtl& ctl = slot.ctl;
-  const auto& log = result_log_[static_cast<std::size_t>(pid)];
-  usage_check(static_cast<long>(log.size()) == ctl.steps,
-              "rewind: result log out of sync with step count");
-  slot.ahead.clear();
+  const auto kept = static_cast<std::size_t>(ctl.steps);
+  stats_.rebuilt += 1;
+  stats_.replayed += ctl.steps;
   const bool was_crashed = ctl.crashed;
   ctl.terminated = false;
   ctl.crashed = false;
@@ -532,8 +504,8 @@ void Sim::rebuild_coroutine(Pid pid) {
   usage_check(slot.coro.valid(), "rewind: body did not return a coroutine");
   slot.coro.bind(&ctl);
   rebuilding_ = true;  // silence note_round: its checks already ran live
-  for (const OpResult& r : log) {
-    ctl.result = r;  // copy: the coroutine moves it out on resume
+  for (std::size_t j = 0; j < kept; ++j) {
+    ctl.result = slot.history[j].result;  // copy: the coroutine moves it out
     ctl.resume_point.resume();
     if (ctl.exc != nullptr) rebuilding_ = false;
     usage_check(ctl.exc == nullptr,
@@ -546,7 +518,8 @@ void Sim::rebuild_coroutine(Pid pid) {
 
 bool Sim::terminated(Pid pid) const {
   check_pid(pid);
-  return ctls_[static_cast<std::size_t>(pid)].ctl.terminated;
+  const auto& s = ctls_[static_cast<std::size_t>(pid)];
+  return s.ctl.terminated && !ahead(s);
 }
 
 bool Sim::crashed(Pid pid) const {
@@ -555,10 +528,8 @@ bool Sim::crashed(Pid pid) const {
 }
 
 const Value& Sim::decision(Pid pid) const {
-  check_pid(pid);
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  usage_check(ctl.terminated, "decision: process has not terminated");
-  return ctl.decision;
+  usage_check(terminated(pid), "decision: process has not terminated");
+  return ctls_[static_cast<std::size_t>(pid)].ctl.decision;
 }
 
 long Sim::steps(Pid pid) const {
@@ -607,22 +578,12 @@ long Sim::channel_delivered(Pid from, Pid to) const {
                       static_cast<std::size_t>(to)];
 }
 
-const std::vector<OpResult>& Sim::result_log(Pid pid) const {
-  check_pid(pid);
-  usage_check(checkpointing_, "result_log: checkpointing is not enabled");
-  return result_log_[static_cast<std::size_t>(pid)];
-}
-
-Register& Sim::reg_at(int reg) {
-  usage_check(reg >= 0 && reg < static_cast<int>(regs_.size()),
-              [&] { return "bad register index " + std::to_string(reg); });
-  return regs_[static_cast<std::size_t>(reg)];
-}
-
-const Register& Sim::reg_at(int reg) const {
-  usage_check(reg >= 0 && reg < static_cast<int>(regs_.size()),
-              [&] { return "bad register index " + std::to_string(reg); });
-  return regs_[static_cast<std::size_t>(reg)];
+const OpResult& Sim::step_result(Pid pid, long j) const {
+  usage_check(checkpointing_, "step_result: checkpointing is not enabled");
+  usage_check(j >= 0 && j < steps(pid), "step_result: no such step");
+  return ctls_[static_cast<std::size_t>(pid)]
+      .history[static_cast<std::size_t>(j)]
+      .result;
 }
 
 bool Sim::may_send(Pid from, Pid to) const {
@@ -679,8 +640,7 @@ Value Sim::do_snapshot(const std::vector<int>& regs) {
   return Value(std::move(out));
 }
 
-void Sim::execute(ProcCtl& ctl, Pid recv_from) {
-  const OpRequest& req = ctl.pending;
+void Sim::execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from) {
   switch (req.kind) {
     case OpKind::Start:
       ctl.result = OpResult{};
@@ -726,10 +686,10 @@ void Sim::execute(ProcCtl& ctl, Pid recv_from) {
     }
     case OpKind::Recv: {
       Pid from = 0;  // the lowest-pid sender, unless `recv_from` names one
-      while (from < n() && !recv_ready(ctl, from)) ++from;
+      while (from < n() && !recv_ready(ctl.pid, from)) ++from;
       usage_check(from < n(), "recv stepped with no queued message");
       if (recv_from != -1) {
-        usage_check(recv_ready(ctl, recv_from),
+        usage_check(recv_ready(ctl.pid, recv_from),
                     "recv: chosen sender has no queued message");
         from = recv_from;
       }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/coro.h"
@@ -87,6 +88,18 @@ struct SimOptions {
   /// registers are a convenience justified by constant-factor emulation).
   /// Write-once input registers are exempt (the model adds them separately).
   bool single_register_per_process = false;
+};
+
+/// Kernel work counters of one Sim, counted since it was built: plain
+/// member increments, always on. A re-executed step either reuses the
+/// frame a rewind left ahead or rebuilds it (see Sim::rewind); the other
+/// steps resume their frame once.
+struct SimStats {
+  long steps = 0;     ///< Steps executed (re-executions included).
+  long rewound = 0;   ///< Steps undone by `rewind` (crashes not counted).
+  long reused = 0;    ///< Re-executed steps that kept the frame unresumed.
+  long rebuilt = 0;   ///< Coroutine frames rebuilt from their bodies.
+  long replayed = 0;  ///< Recorded results fed to rebuilt frames.
 };
 
 class Sim;
@@ -220,11 +233,18 @@ class Sim {
   // --- Step-level control (used by schedulers) ------------------------------
 
   /// True if `pid` is alive (spawned, not crashed, not terminated).
-  [[nodiscard]] bool alive(Pid pid) const;
+  [[nodiscard]] bool alive(Pid pid) const {
+    check_pid(pid);
+    const ProcSlot& s = ctls_[static_cast<std::size_t>(pid)];
+    return s.spawned && !s.ctl.crashed && (ahead(s) || !s.ctl.terminated);
+  }
 
   /// True if `pid` is alive and its pending op can execute now. Register ops
   /// are always executable; Recv needs a matching queued message.
-  [[nodiscard]] bool enabled(Pid pid) const;
+  [[nodiscard]] bool enabled(Pid pid) const {
+    return alive(pid) && (pending_request(pid).kind != OpKind::Recv ||
+                          recv_ready(pid, -1));
+  }
 
   /// Replaces `out` with the senders that have queued messages matching
   /// `pid`'s pending Recv, in pid order; empties it unless `pid` is alive
@@ -233,12 +253,15 @@ class Sim {
   void recv_choices(Pid pid, std::vector<Pid>& out) const;
 
   /// The pending atomic op `pid` would execute on its next step
-  /// (OpKind::Start before the first). Exposed so the explorer's
+  /// (OpKind::Start before the first; unspecified once `pid` terminated),
+  /// valid until the next step or rewind. Exposed so the explorer's
   /// partial-order reduction can derive the op's footprint without
   /// executing it (src/sim/explore.cpp, detail::choice_footprint).
   [[nodiscard]] const OpRequest& pending_request(Pid pid) const {
     check_pid(pid);
-    return ctls_[static_cast<std::size_t>(pid)].ctl.pending;
+    const ProcSlot& s = ctls_[static_cast<std::size_t>(pid)];
+    return ahead(s) ? s.history[static_cast<std::size_t>(s.ctl.steps)].request
+                    : s.ctl.pending;
   }
 
   /// Whether stepping `pid` now may report a model violation (record one in
@@ -297,13 +320,14 @@ class Sim {
 
   // --- Checkpointing (incremental backtracking for the explorer) -----------
 
-  /// Starts recording an undo log so that `rewind` can step the world
-  /// backwards. Must be enabled before the first step/crash (the log must
-  /// cover every action since the initial state, because a coroutine that
-  /// has to be rebuilt is fast-forwarded from the start through its
-  /// recorded step results). Disabling clears the log, after first
-  /// rebuilding every coroutine a rewind left ahead of its process's
-  /// logical position, so later steps resume frames that are in sync.
+  /// Starts recording each process's step history (the request every
+  /// step executed and the result it consumed) and an undo log of the
+  /// shared-state pre-images, so that `rewind` can step the world
+  /// backwards. Must be enabled before the first step/crash (a coroutine
+  /// that has to be rebuilt is fast-forwarded from the start through its
+  /// recorded results). Disabling clears both, after first rebuilding
+  /// every coroutine a rewind left ahead of its process's logical
+  /// position, so later steps resume frames that are in sync.
   ///
   /// Checkpointing is incompatible with `step_block` (no undo support).
   void set_checkpointing(bool on);
@@ -351,19 +375,21 @@ class Sim {
   }
 
   /// Undoes the last `k` recorded actions (steps and crashes), restoring
-  /// registers, channels, traces, accounting, and process control state.
-  /// A process that stepped within the undone suffix keeps its live
-  /// coroutine frame, which is now ahead of its logical position: each
-  /// undone step remembers the result the frame consumed and the control
-  /// state it reached, and its executed request becomes pending again.
-  /// When `step` re-executes such a step and it yields the same result
-  /// (value and sender), the remembered state is restored without resuming
-  /// the body. At the first differing result, the coroutine is rebuilt
-  /// from its body, fast-forwarded through the kept prefix of recorded
-  /// results, and resumed with the new one. Protocols are deterministic
-  /// state machines, so both paths reach the state a never-rewound Sim
-  /// reaches, without re-executing (or re-validating) any shared-memory
-  /// operation of the prefix.
+  /// registers, channels, traces, accounting, and crash flags. An undone
+  /// step only moves its process's logical position (`steps`) back one
+  /// entry of its step history; the live coroutine frame stays where it
+  /// is, ahead of that position, and the history keeps what it executed
+  /// and consumed there. While a frame is ahead, the process reads as the
+  /// history says: its pending request is the recorded one, and it is
+  /// alive and undecided. When `step` re-executes such a step and it
+  /// yields the recorded result (value and sender), the position moves
+  /// forward without resuming the body. At the first differing result, the
+  /// history is cut after that step, and the coroutine is rebuilt from its
+  /// body, fast-forwarded through the kept prefix of recorded results, and
+  /// resumed with the new one. Protocols are deterministic state machines,
+  /// so both paths reach the state a never-rewound Sim reaches, without
+  /// re-executing (or re-validating) any shared-memory operation of the
+  /// prefix.
   void rewind(std::size_t k);
 
   // --- Inspection -----------------------------------------------------------
@@ -403,22 +429,25 @@ class Sim {
   /// the current path: the absolute index of the queue's head message.
   [[nodiscard]] long channel_delivered(Pid from, Pid to) const;
 
-  /// `pid`'s recorded step results on the current path (checkpointing only).
-  [[nodiscard]] const std::vector<OpResult>& result_log(Pid pid) const;
+  /// The result `pid`'s step number `j` (0-based, below `steps(pid)`)
+  /// consumed on the current path (checkpointing only).
+  [[nodiscard]] const OpResult& step_result(Pid pid, long j) const;
+
+  /// This Sim's kernel work counters.
+  [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
 
   /// Total messages ever sent (delivered or still queued).
   [[nodiscard]] long total_sends() const noexcept { return total_sends_; }
 
  private:
-  /// A step that `rewind` undid but the process's live coroutine frame had
-  /// already taken: the result the frame consumed and the control state
-  /// that resume left behind.
-  struct FrameStep {
-    OpResult result;
-    OpRequest pending;
-    bool terminated = false;
-    Value decision;
-    bool reusable = true;  ///< See UndoRecord::reusable.
+  /// One executed step of a process, recorded while checkpointing.
+  struct StepRecord {
+    OpRequest request;  ///< The executed op; pending again once rewound.
+    OpResult result;    ///< The result the coroutine frame consumed.
+    /// False once the step's resume noted a round under a declared budget:
+    /// that check is the one effect a resume has on the Sim, so a rewound
+    /// frame must not skip it by reusing this step.
+    bool reusable = true;
   };
 
   struct ProcSlot {
@@ -430,31 +459,40 @@ class Sim {
     std::function<Proc(Env&)> body;
     Proc coro;
     bool spawned = false;
-    /// The undone steps the frame is ahead by, the next one to re-execute
-    /// on top. Empty whenever the frame is at the logical position.
-    std::vector<FrameStep> ahead;
+    /// history[j] = step j (checkpointing only). `ctl.steps` is the logical
+    /// position; the frame has taken every recorded step, so it is ahead
+    /// exactly while the history is longer than `ctl.steps`, and `ctl`'s
+    /// pending, terminated and decision are then the frame's, not the
+    /// process's.
+    std::vector<StepRecord> history;
   };
 
-  /// One undoable action, recorded while checkpointing.
+  /// One undoable action, recorded while checkpointing. A step's request
+  /// and result are its process's StepRecord at the undone position.
   struct UndoRecord {
     enum class Kind { Step, Crash };
     Kind kind = Kind::Step;
     Pid pid = -1;
-    OpRequest request;          ///< The executed op; pending again on rewind.
     Value old_value;            ///< Write/WriteSnap: previous register content.
     int old_max_bits = 0;       ///< Previous max_bits_written of that register.
     bool traced = false;        ///< A TraceEvent was recorded for this step.
-    /// False once the step's resume noted a round under a declared budget:
-    /// that check is the one effect a resume has on the Sim, so a rewound
-    /// frame must not skip it by reusing this step.
-    bool reusable = true;
     /// Size of the violation log when this action started (collect mode):
     /// rewinding truncates the log back to exactly this count.
     std::size_t old_violations = 0;
   };
 
-  [[nodiscard]] Register& reg_at(int reg);
-  [[nodiscard]] const Register& reg_at(int reg) const;
+  /// Whether a rewind left `s`'s frame ahead of its logical position.
+  [[nodiscard]] static bool ahead(const ProcSlot& s) noexcept {
+    return s.history.size() > static_cast<std::size_t>(s.ctl.steps);
+  }
+  [[nodiscard]] const Register& reg_at(int reg) const {
+    usage_check(reg >= 0 && reg < num_registers(),
+                [&] { return "bad register index " + std::to_string(reg); });
+    return regs_[static_cast<std::size_t>(reg)];
+  }
+  [[nodiscard]] Register& reg_at(int reg) {
+    return const_cast<Register&>(std::as_const(*this).reg_at(reg));
+  }
   void check_pid(Pid pid) const {
     usage_check(pid >= 0 && pid < n(),
                 [&] { return "bad pid " + std::to_string(pid); });
@@ -467,24 +505,20 @@ class Sim {
   /// throws ModelError otherwise.
   void violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg);
   [[nodiscard]] bool may_send(Pid from, Pid to) const;
-  /// Whether the Recv pending in `ctl` can take a message from `from` now:
-  /// `from` is a pid its filter admits and its channel to `ctl.pid` holds
-  /// one.
-  [[nodiscard]] bool recv_ready(const ProcCtl& ctl, Pid from) const;
-  /// Executes the pending request of `pid` into its result slot.
-  void execute(ProcCtl& ctl, Pid recv_from);
+  /// Whether the Recv pending at `pid` can take a message from `from` now
+  /// (from any sender when `from` is -1): `from` is a pid its filter admits
+  /// and its channel to `pid` holds one.
+  [[nodiscard]] bool recv_ready(Pid pid, Pid from) const;
+  /// Executes `req`, the pending request of `ctl`'s process, into
+  /// `ctl.result`.
+  void execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from);
   void do_write(Pid pid, int reg, const Value& v);
   [[nodiscard]] Value do_snapshot(const std::vector<int>& regs);
   void resume(ProcCtl& ctl);
-  /// Fills an UndoRecord from the op about to be executed (pre-state).
-  [[nodiscard]] UndoRecord capture_undo(const ProcCtl& ctl) const;
-  /// Reverts the shared-state effects of one executed step, whose result
-  /// was `result`.
-  void undo_shared(const UndoRecord& u, const OpResult& result);
-  /// Recreates `pid`'s coroutine and fast-forwards it through its recorded
-  /// step results, dropping the frame steps a rewind left ahead. Runs only
-  /// when a re-executed step's result differs from the one the frame
-  /// consumed (see `rewind`), or when checkpointing is switched off.
+  /// Recreates `pid`'s coroutine and fast-forwards it through the results
+  /// of its first `ctl.steps` recorded steps. Runs only when a re-executed
+  /// step's result differs from the one the frame consumed (see `rewind`),
+  /// or when checkpointing is switched off; the caller cuts the history.
   void rebuild_coroutine(Pid pid);
 
   SimOptions opts_;
@@ -505,8 +539,7 @@ class Sim {
   int reg_ops_in_step_ = 0;
   bool checkpointing_ = false;
   std::vector<UndoRecord> undo_;
-  /// result_log_[pid][j] = result delivered to pid's j-th executed step.
-  std::vector<std::vector<OpResult>> result_log_;
+  SimStats stats_;
   /// Messages delivered per channel (same from*n+to indexing as chan_):
   /// gives queued messages stable absolute slot indices for hashing.
   std::vector<long> chan_popped_;

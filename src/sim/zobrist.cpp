@@ -20,17 +20,16 @@ std::uint64_t message_hash(const std::string& s) noexcept {
 
 std::uint64_t full_hash(const Sim& sim) {
   usage_check(sim.checkpointing(),
-              "zobrist::full_hash: checkpointing must be enabled (the result "
-              "log is part of the hashed state)");
+              "zobrist::full_hash: checkpointing must be enabled (the step "
+              "history is part of the hashed state)");
   std::uint64_t h = 0;
   for (int r = 0; r < sim.num_registers(); ++r) {
     h ^= reg_component(r, sim.register_info(r).value);
   }
   const int n = sim.n();
   for (Pid p = 0; p < n; ++p) {
-    const auto& log = sim.result_log(p);
-    for (std::size_t j = 0; j < log.size(); ++j) {
-      h ^= hist_component(p, static_cast<long>(j), log[j]);
+    for (long j = 0; j < sim.steps(p); ++j) {
+      h ^= hist_component(p, j, sim.step_result(p, j));
     }
     if (sim.crashed(p)) h ^= crash_component(p);
   }

@@ -21,10 +21,10 @@
 //     finding to pruning.
 //
 // Because XOR is its own inverse, the Sim maintains the hash in O(1) per
-// step through the same undo log that powers incremental backtracking:
-// every mutation toggles the affected components in, every rewind toggles
-// them back out. A toggle is O(1) even for a nested full-information view,
-// because a composite Value caches its structural hash at construction.
+// step through the same step history and undo log that power incremental
+// backtracking: each mutation toggles its components in, each rewind back
+// out. A toggle is O(1) even for a nested full-information view, because
+// a composite Value caches its structural hash at construction.
 //
 // Component keys are derived from splitmix64-seeded mixing chains rather
 // than lookup tables, so arbitrary register counts, step indices, and queue
@@ -108,7 +108,7 @@ inline constexpr std::uint64_t kViolTag = mix(0x3c6ef372fe94f805ULL);
 /// From-scratch recomputation of the Sim's state hash (the property-test
 /// oracle for the incrementally maintained value, and the state fingerprint
 /// of the tests' replay oracle). Requires checkpointing
-/// (the result log is part of the state).
+/// (the step history is part of the state).
 [[nodiscard]] std::uint64_t full_hash(const Sim& sim);
 
 }  // namespace bsr::sim::zobrist

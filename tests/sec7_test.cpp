@@ -275,20 +275,54 @@ TEST(Alg4, ExhaustiveTwoProcessOneRound) {
   }
 }
 
-TEST(Alg4, RandomizedTwoProcessTwoRounds) {
+/// What one exhaustive input pair of a two-process protocol pins: its
+/// schedules with at most one crash, and its distinct final configurations.
+struct PairCounts {
+  std::uint64_t x0;
+  std::uint64_t x1;
+  long schedules;
+  long finals;
+};
+
+/// Counts every schedule of `make`'s two-process Sim with at most one crash
+/// through a transposition table, which expands each state once and visits
+/// each distinct final configuration once, and checks the pair's pins and
+/// that the table dropped no claim (so no final went unvisited).
+void explore_pair(const PairCounts& want, const Explorer::Factory& make,
+                  const Explorer::Visitor& visit) {
+  SCOPED_TRACE("inputs " + std::to_string(want.x0) + std::to_string(want.x1));
+  ExploreOptions opts{.max_steps = 500, .max_crashes = 1, .threads = 1};
+  opts.tt = std::make_shared<sim::TranspositionTable>(std::size_t{1} << 22);
+  long finals = 0;
+  const long schedules = Explorer(opts).explore(
+      make, [&](Sim& sim, const std::vector<Choice>& schedule) {
+        ++finals;
+        visit(sim, schedule);
+      });
+  EXPECT_EQ(opts.tt->stats().drops, 0) << "grow the table";
+  EXPECT_EQ(schedules, want.schedules);
+  EXPECT_EQ(finals, want.finals);
+}
+
+TEST(Alg4, ExhaustiveTwoProcessTwoRounds) {
   const auto cfgs = binary_configs(2, 2);
-  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+  for (const PairCounts& want : {PairCounts{0, 0, 11'408'741'518, 1'176},
+                                 PairCounts{1, 0, 11'408'741'518, 604},
+                                 PairCounts{0, 1, 11'408'741'518, 976},
+                                 PairCounts{1, 1, 11'408'741'518, 410}}) {
     const Config init = memory::initial_full_info_config(
-        {Value(seed & 1), Value((seed >> 1) & 1)});
-    Sim sim(2);
-    install_alg4(sim, cfgs, init);
-    sim::RandomRunOptions opts;
-    opts.seed = seed;
-    opts.max_crashes = 1;
-    const sim::RunReport rep = run_random(sim, opts);
-    EXPECT_FALSE(rep.hit_step_limit);
-    EXPECT_TRUE(alg4_output_valid(cfgs, tasks::decisions_of(sim)))
-        << "seed " << seed;
+        {Value(want.x0), Value(want.x1)});
+    explore_pair(
+        want,
+        [&] {
+          auto sim = std::make_unique<Sim>(2);
+          install_alg4(*sim, cfgs, init);
+          return sim;
+        },
+        [&](Sim& sim, const std::vector<Choice>&) {
+          EXPECT_TRUE(alg4_output_valid(cfgs, tasks::decisions_of(sim)))
+              << tasks::config_str(tasks::decisions_of(sim));
+        });
   }
 }
 
@@ -367,32 +401,34 @@ TEST_P(Alg4Agreement, SolvesEpsAgreementThroughOneBitRegisters) {
   EXPECT_GT(count, 0);
 }
 
-// Exhaustive only for k = 1: at k = 2 each process already takes 19 steps
-// and the interleaving space explodes; k = 2 is covered by the randomized
-// test below.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Alg4Agreement,
     ::testing::Values(Alg4AgreeParams{1, 0, 1, 0}, Alg4AgreeParams{1, 1, 0, 0},
                       Alg4AgreeParams{1, 1, 1, 0}, Alg4AgreeParams{1, 0, 0, 0},
                       Alg4AgreeParams{1, 0, 1, 1}));
 
-TEST(Alg4Agreement, RandomizedTwoRounds) {
+TEST(Alg4Agreement, ExhaustiveTwoRounds) {
+  // Theorem 1.4 end to end at k = 2 (ε = 1/9) over every schedule with at
+  // most one crash, per input pair.
   const Alg4AgreementPlan plan(2);
   const tasks::ApproxAgreement task(2, plan.denominator());
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    const std::uint64_t x0 = seed % 2;
-    const std::uint64_t x1 = (seed / 2) % 2;
-    Sim sim(2);
-    install_alg4_agreement(sim, plan, {x0, x1});
-    sim::RandomRunOptions opts;
-    opts.seed = seed;
-    opts.max_crashes = 1;
-    const sim::RunReport rep = run_random(sim, opts);
-    EXPECT_FALSE(rep.hit_step_limit);
-    const Config input{Value(x0), Value(x1)};
-    const auto check =
-        tasks::check_outputs(task, input, tasks::decisions_of(sim));
-    EXPECT_TRUE(check.ok) << check.detail << " seed=" << seed;
+  for (const PairCounts& want : {PairCounts{0, 0, 173'191'792'618, 1'342},
+                                 PairCounts{1, 0, 173'191'792'618, 770},
+                                 PairCounts{0, 1, 173'191'792'618, 1'142},
+                                 PairCounts{1, 1, 173'191'792'618, 576}}) {
+    const Config input{Value(want.x0), Value(want.x1)};
+    explore_pair(
+        want,
+        [&] {
+          auto sim = std::make_unique<Sim>(2);
+          install_alg4_agreement(*sim, plan, {want.x0, want.x1});
+          return sim;
+        },
+        [&](Sim& sim, const std::vector<Choice>&) {
+          const auto check =
+              tasks::check_outputs(task, input, tasks::decisions_of(sim));
+          EXPECT_TRUE(check.ok) << check.detail;
+        });
   }
 }
 

@@ -1,16 +1,24 @@
 // Additional kernel coverage: traces over channels, recv filters,
-// block-step error paths, run reports, ⊥-capable bounded registers, and the
-// lazy error-message machinery.
+// block-step error paths, run reports, ⊥-capable bounded registers, the
+// lazy error-message machinery, and the rewind contract with its kernel
+// counters and a seeded differential walk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/alg1.h"
+#include "core/sec7.h"
 #include "sim/explore.h"
 #include "sim/sched.h"
 #include "sim/sim.h"
+#include "sim/zobrist.h"
 #include "support/replay_explorer.h"
 #include "util/errors.h"
+#include "util/rng.h"
 
 namespace bsr::sim {
 namespace {
@@ -434,17 +442,28 @@ std::unique_ptr<Sim> make_reader_sim(Counts* c, bool hashing = true) {
   return sim;
 }
 
+void expect_stats(const Sim& sim, const SimStats& want) {
+  const SimStats& got = sim.stats();
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.rewound, want.rewound);
+  EXPECT_EQ(got.reused, want.reused);
+  EXPECT_EQ(got.rebuilt, want.rebuilt);
+  EXPECT_EQ(got.replayed, want.replayed);
+}
+
+// A terminated process has no pending op, so only a live one's is compared.
 void expect_same_process_state(const Sim& a, const Sim& b, Pid p) {
   EXPECT_EQ(a.terminated(p), b.terminated(p));
   EXPECT_EQ(a.steps(p), b.steps(p));
+  if (a.terminated(p) && b.terminated(p)) {
+    EXPECT_EQ(a.decision(p), b.decision(p));
+    return;
+  }
   const OpRequest& x = a.pending_request(p);
   const OpRequest& y = b.pending_request(p);
   EXPECT_EQ(x.kind, y.kind);
   EXPECT_EQ(x.reg, y.reg);
   EXPECT_EQ(x.value, y.value);
-  if (a.terminated(p) && b.terminated(p)) {
-    EXPECT_EQ(a.decision(p), b.decision(p));
-  }
 }
 
 TEST(SimRewind, SameResultReusesTheFrameWithoutResuming) {
@@ -459,6 +478,7 @@ TEST(SimRewind, SameResultReusesTheFrameWithoutResuming) {
   sim->step(0);  // the same read, the same result
   EXPECT_EQ(c.runs, 1);
   EXPECT_EQ(c.resumes, 3) << "the kept frame must not be resumed again";
+  expect_stats(*sim, {.steps = 4, .rewound = 1, .reused = 1});
 
   Counts ref_counts;
   auto ref = make_reader_sim(&ref_counts);
@@ -470,6 +490,7 @@ TEST(SimRewind, SameResultReusesTheFrameWithoutResuming) {
   sim->step(0);
   ref->step(0);
   EXPECT_EQ(c.resumes, 4);
+  expect_stats(*sim, {.steps = 5, .rewound = 1, .reused = 1});
   expect_same_process_state(*sim, *ref, 0);
   EXPECT_EQ(sim->decision(0), Value(0));
   EXPECT_EQ(sim->state_hash(), ref->state_hash());
@@ -491,8 +512,10 @@ TEST(SimRewind, DifferentResultRebuildsOnceThroughTheKeptPrefix) {
   // The two kept results (Start and the first write) are replayed, then
   // the frame is resumed once with the new result.
   EXPECT_EQ(c.resumes, 3 + 2 + 1);
+  expect_stats(*sim, {.steps = 6, .rewound = 1, .rebuilt = 1, .replayed = 2});
   sim->step(0);  // write 3
   EXPECT_EQ(sim->peek(0), Value(3));
+  expect_stats(*sim, {.steps = 7, .rewound = 1, .rebuilt = 1, .replayed = 2});
 
   Counts ref_counts;
   auto ref = make_reader_sim(&ref_counts);
@@ -519,6 +542,9 @@ TEST(SimRewind, RewoundTerminationRevivesAndRestepRestoresDecision) {
   ASSERT_TRUE(sim->terminated(0));
   EXPECT_EQ(sim->decision(0), Value(0));
   EXPECT_EQ(sim->peek(0), Value(2));
+  EXPECT_EQ(c.runs, 1);
+  EXPECT_EQ(c.resumes, 4);
+  expect_stats(*sim, {.steps = 5, .rewound = 1, .reused = 1});
 }
 
 TEST(SimRewind, DisablingCheckpointingResyncsFramesLeftAhead) {
@@ -530,7 +556,12 @@ TEST(SimRewind, DisablingCheckpointingResyncsFramesLeftAhead) {
   sim->step(0);  // write 2
   sim->rewind(2);  // back to before the read
   sim->set_checkpointing(false);
+  // One rebuild replays the two kept results (Start and the first write).
+  EXPECT_EQ(c.runs, 2);
+  EXPECT_EQ(c.resumes, 4 + 2);
   for (const Pid p : {1, 1, 0, 0}) sim->step(p);  // R := 1, then read 1
+  EXPECT_EQ(c.resumes, 4 + 2 + 2);
+  expect_stats(*sim, {.steps = 8, .rewound = 2, .rebuilt = 1, .replayed = 2});
 
   Counts ref_counts;
   auto ref = make_reader_sim(&ref_counts, /*hashing=*/false);
@@ -538,6 +569,232 @@ TEST(SimRewind, DisablingCheckpointingResyncsFramesLeftAhead) {
   expect_same_process_state(*sim, *ref, 0);
   EXPECT_EQ(sim->peek(0), ref->peek(0));
   EXPECT_EQ(sim->decision(0), Value(1));
+}
+
+// --- Differential walk: a rewound Sim against a fresh replay ---------------
+//
+// A seeded random walk of steps, crashes and rewinds. After every action the
+// walked Sim must equal a fresh Sim that took only the walk's logical
+// schedule: per process the pending request, termination, decision and
+// crash flag, and globally the registers, channels and state hash (which
+// must also equal its from-scratch recomputation). The walk models how far
+// each live frame has run from the Sim's own counters, so it can count the
+// cases it was written for and the tests can insist that each occurred.
+
+using SimFactory = std::function<std::unique_ptr<Sim>()>;
+
+void apply(Sim& sim, const Choice& c) {
+  if (c.kind == Choice::Kind::Step) {
+    sim.step(c.pid, c.recv_from);
+  } else {
+    sim.crash(c.pid);
+  }
+}
+
+void expect_same_world(const Sim& sim, const Sim& ref) {
+  EXPECT_EQ(sim.total_steps(), ref.total_steps());
+  EXPECT_EQ(sim.total_sends(), ref.total_sends());
+  for (Pid p = 0; p < ref.n(); ++p) {
+    SCOPED_TRACE("process " + std::to_string(p));
+    expect_same_process_state(sim, ref, p);
+    EXPECT_EQ(sim.crashed(p), ref.crashed(p));
+    EXPECT_EQ(sim.alive(p), ref.alive(p));
+    EXPECT_EQ(sim.enabled(p), ref.enabled(p));
+    if (!ref.terminated(p)) {
+      EXPECT_EQ(sim.pending_request(p).regs, ref.pending_request(p).regs);
+      EXPECT_EQ(sim.pending_request(p).peer, ref.pending_request(p).peer);
+    }
+    for (Pid to = 0; to < ref.n(); ++to) {
+      EXPECT_EQ(sim.channel(p, to), ref.channel(p, to));
+      EXPECT_EQ(sim.channel_delivered(p, to), ref.channel_delivered(p, to));
+    }
+  }
+  for (int r = 0; r < ref.num_registers(); ++r) {
+    const Register& x = sim.register_info(r);
+    const Register& y = ref.register_info(r);
+    EXPECT_EQ(x.value, y.value);
+    EXPECT_EQ(x.writes, y.writes);
+    EXPECT_EQ(x.reads, y.reads);
+    EXPECT_EQ(x.max_bits_written, y.max_bits_written);
+  }
+  if (sim.state_hashing()) {
+    EXPECT_EQ(sim.state_hash(), zobrist::full_hash(sim));
+    EXPECT_EQ(sim.state_hash(), ref.state_hash());
+  }
+}
+
+/// The cases a walk exercised.
+struct WalkCases {
+  long crash_ahead = 0;       ///< Crashes of a process whose frame is ahead.
+  long terminated_back = 0;   ///< Terminated processes rewound >= 2 steps.
+  long recv_undo_ahead = 0;   ///< Recv steps undone with their frame ahead.
+  long disable_ahead = 0;     ///< Checkpointing disabled, >= 2 frames ahead.
+};
+
+/// Walks `actions` random actions from `make`'s Sim (crash budget
+/// `max_crashes`), then keeps walking until two frames are ahead, switches
+/// checkpointing off there, and steps to a complete state.
+void walk_against_replay(const SimFactory& make, int max_crashes,
+                         std::uint64_t seed, int actions, WalkCases& cases) {
+  const auto fresh = [&] {
+    std::unique_ptr<Sim> sim = make();
+    sim->set_checkpointing(true);
+    sim->set_state_hashing(true);
+    return sim;
+  };
+  std::unique_ptr<Sim> sim = fresh();
+  const ExploreOptions opts{.max_crashes = max_crashes};
+  Rng rng(seed);
+  std::vector<Choice> schedule;
+  std::vector<Choice> cs;
+  // frame[p]: steps p's live coroutine frame has taken.
+  std::vector<long> frame(static_cast<std::size_t>(sim->n()), 0);
+  const auto ahead = [&](Pid p) {
+    return frame[static_cast<std::size_t>(p)] > sim->steps(p);
+  };
+  const auto frames_ahead = [&] {
+    int count = 0;
+    for (Pid p = 0; p < sim->n(); ++p) count += ahead(p) ? 1 : 0;
+    return count;
+  };
+  const auto check = [&](const std::string& when) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + when);
+    std::unique_ptr<Sim> ref = fresh();
+    for (const Choice& c : schedule) apply(*ref, c);
+    expect_same_world(*sim, *ref);
+  };
+  const auto take = [&](const Choice& c) {
+    if (c.kind == Choice::Kind::Crash && ahead(c.pid)) ++cases.crash_ahead;
+    const long reused = sim->stats().reused;
+    apply(*sim, c);
+    if (c.kind == Choice::Kind::Step && sim->stats().reused == reused) {
+      frame[static_cast<std::size_t>(c.pid)] = sim->steps(c.pid);
+    }
+    schedule.push_back(c);
+  };
+  const auto crashes = [&] {
+    return static_cast<int>(std::count_if(
+        schedule.begin(), schedule.end(),
+        [](const Choice& c) { return c.kind == Choice::Kind::Crash; }));
+  };
+  for (int a = 0; a < actions || (frames_ahead() < 2 && a < 4 * actions);
+       ++a) {
+    detail::legal_choices(*sim, crashes(), opts, cs);
+    if (!schedule.empty() && (cs.empty() || rng.chance(1, 4))) {
+      const std::size_t k = 1 + rng.below(schedule.size());
+      std::vector<long> pos;
+      for (Pid p = 0; p < sim->n(); ++p) pos.push_back(sim->steps(p));
+      const std::vector<long> before = pos;
+      for (std::size_t i = 1; i <= k; ++i) {
+        const Choice& c = schedule[schedule.size() - i];
+        if (c.kind == Choice::Kind::Crash) continue;
+        long& at = pos[static_cast<std::size_t>(c.pid)];
+        if (c.recv_from >= 0 && at < frame[static_cast<std::size_t>(c.pid)]) {
+          ++cases.recv_undo_ahead;
+        }
+        at -= 1;
+      }
+      for (Pid p = 0; p < sim->n(); ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        if (sim->terminated(p) && before[i] - pos[i] >= 2) {
+          ++cases.terminated_back;
+        }
+      }
+      sim->rewind(k);
+      schedule.resize(schedule.size() - k);
+    } else if (!cs.empty()) {
+      take(cs[rng.below(cs.size())]);
+    } else {
+      return;  // an empty schedule with nothing enabled
+    }
+    check("action " + std::to_string(a));
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (frames_ahead() < 2) return;
+  ++cases.disable_ahead;
+  const long rebuilt = sim->stats().rebuilt;
+  const int resynced = frames_ahead();
+  sim->set_state_hashing(false);
+  sim->set_checkpointing(false);
+  EXPECT_EQ(sim->stats().rebuilt, rebuilt + resynced);
+  for (Pid p = 0; p < sim->n(); ++p) {
+    frame[static_cast<std::size_t>(p)] = sim->steps(p);
+  }
+  for (int a = 0;; ++a) {
+    check("step " + std::to_string(a) + " without checkpointing");
+    if (::testing::Test::HasFailure()) return;
+    detail::legal_choices(*sim, crashes(), opts, cs);
+    if (cs.empty()) return;
+    take(cs[rng.below(cs.size())]);
+  }
+}
+
+/// Processes 1 and 2 each send process 0 two messages and wait for its
+/// reply; process 0 takes all four from whichever sender the scheduler
+/// picks, then replies to both with the order it saw.
+std::unique_ptr<Sim> make_gather_sim() {
+  auto sim = std::make_unique<Sim>(3);
+  sim->spawn(0, [](Env& env) -> Proc {
+    std::vector<Value> seen;
+    for (int i = 0; i < 4; ++i) {
+      const OpResult m = co_await env.recv();
+      seen.emplace_back(static_cast<std::uint64_t>(m.from) * 10 +
+                        m.value.as_u64());
+    }
+    const Value order(std::move(seen));
+    co_await env.send(1, order);
+    co_await env.send(2, order);
+    co_return order;
+  });
+  for (const Pid p : {1, 2}) {
+    sim->spawn(p, [](Env& env) -> Proc {
+      co_await env.send(0, Value(1));
+      co_await env.send(0, Value(2));
+      const OpResult reply = co_await env.recv(0);
+      co_return reply.value;
+    });
+  }
+  return sim;
+}
+
+WalkCases walk_seeds(const SimFactory& make, int seeds, int actions) {
+  WalkCases cases;
+  for (int seed = 1; seed <= seeds; ++seed) {
+    walk_against_replay(make, /*max_crashes=*/1,
+                        0x5eed0000 + static_cast<std::uint64_t>(seed),
+                        actions, cases);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(cases.crash_ahead, 0);
+  EXPECT_GT(cases.terminated_back, 0);
+  EXPECT_GT(cases.disable_ahead, 0);
+  return cases;
+}
+
+TEST(SimRewindWalk, Alg1MatchesAFreshReplay) {
+  walk_seeds(
+      [] {
+        auto sim = std::make_unique<Sim>(2);
+        core::install_alg1(*sim, 3, {0, 1});
+        return sim;
+      },
+      /*seeds=*/12, /*actions=*/150);
+}
+
+TEST(SimRewindWalk, FullInformationIcMatchesAFreshReplay) {
+  walk_seeds(
+      [] {
+        auto sim = std::make_unique<Sim>(3);
+        core::install_full_info_ic(*sim, 2, {Value(0), Value(1), Value(2)});
+        return sim;
+      },
+      /*seeds=*/12, /*actions=*/150);
+}
+
+TEST(SimRewindWalk, RecvFromSeveralSendersMatchesAFreshReplay) {
+  const WalkCases cases =
+      walk_seeds(make_gather_sim, /*seeds=*/12, /*actions=*/150);
+  EXPECT_GT(cases.recv_undo_ahead, 0);
 }
 
 }  // namespace
