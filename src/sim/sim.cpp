@@ -175,18 +175,10 @@ void Sim::recv_choices(Pid pid, std::vector<Pid>& out) const {
 }
 
 bool Sim::recv_ready(Pid pid, Pid from) const {
-  if (from == -1) {
-    for (from = 0; from < n(); ++from) {
-      if (recv_ready(pid, from)) return true;
-    }
-    return false;
-  }
   if (from < 0 || from >= n()) return false;
   const Pid filter = pending_request(pid).peer;
   if (filter != -1 && from != filter) return false;
-  return !chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
-                static_cast<std::size_t>(pid)]
-              .empty();
+  return !chan_[chan_at(from, pid)].empty();
 }
 
 void Sim::step(Pid pid, Pid recv_from) {
@@ -235,7 +227,6 @@ void Sim::step(Pid pid, Pid recv_from) {
     }
   }
   if (opts_.record_trace) trace_.push_back(TraceEvent{pid, req, ctl.result});
-  stats_.steps += 1;
   // The frame that took this step before reuses it as it stands if it
   // consumed this result; otherwise the history is cut after the step and
   // the frame is rebuilt through the kept prefix and resumed below.
@@ -263,7 +254,7 @@ void Sim::step(Pid pid, Pid recv_from) {
   if (hashing_) hash_ ^= zobrist::hist_component(pid, ctl.steps, ctl.result);
   ctl.steps += 1;
   total_steps_ += 1;
-  if (!reuse) resume(ctl);
+  if (!reuse) resume(slot);
 }
 
 void Sim::step_block(const std::vector<Pid>& pids) {
@@ -298,9 +289,8 @@ void Sim::step_block(const std::vector<Pid>& pids) {
     }
     ctl.steps += 1;
     total_steps_ += 1;
-    stats_.steps += 1;
   }
-  for (Pid pid : pids) resume(ctls_[static_cast<std::size_t>(pid)].ctl);
+  for (Pid pid : pids) resume(ctls_[static_cast<std::size_t>(pid)]);
 }
 
 void Sim::crash(Pid pid) {
@@ -450,9 +440,7 @@ void Sim::rewind(std::size_t k) {
         break;
       }
       case OpKind::Send: {
-        const std::size_t c = static_cast<std::size_t>(u.pid) *
-                                  static_cast<std::size_t>(n()) +
-                              static_cast<std::size_t>(req.peer);
+        const std::size_t c = chan_at(u.pid, req.peer);
         auto& q = chan_[c];
         if (hashing_) {
           hash_ ^= zobrist::chan_component(
@@ -467,9 +455,7 @@ void Sim::rewind(std::size_t k) {
         // The delivered payload goes back to the head of the channel of
         // its actual sender (the request's `peer` is only a filter).
         const OpResult& got = step.result;
-        const std::size_t c = static_cast<std::size_t>(got.from) *
-                                  static_cast<std::size_t>(n()) +
-                              static_cast<std::size_t>(u.pid);
+        const std::size_t c = chan_at(got.from, u.pid);
         chan_popped_[c] -= 1;
         if (hashing_) {
           hash_ ^= zobrist::chan_component(got.from, u.pid, chan_popped_[c],
@@ -556,26 +542,19 @@ int Sim::max_bounded_bits_used() const {
 }
 
 std::size_t Sim::channel_size(Pid from, Pid to) const {
-  check_pid(from);
-  check_pid(to);
-  return chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
-               static_cast<std::size_t>(to)]
-      .size();
+  return channel(from, to).size();
 }
 
 const std::deque<Value>& Sim::channel(Pid from, Pid to) const {
   check_pid(from);
   check_pid(to);
-  return chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
-               static_cast<std::size_t>(to)];
+  return chan_[chan_at(from, to)];
 }
 
 long Sim::channel_delivered(Pid from, Pid to) const {
   check_pid(from);
   check_pid(to);
-  return chan_popped_[static_cast<std::size_t>(from) *
-                          static_cast<std::size_t>(n()) +
-                      static_cast<std::size_t>(to)];
+  return chan_popped_[chan_at(from, to)];
 }
 
 const OpResult& Sim::step_result(Pid pid, long j) const {
@@ -671,9 +650,7 @@ void Sim::execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from) {
                     " sent on a non-existent link to " +
                     std::to_string(req.peer));
       }
-      const std::size_t c = static_cast<std::size_t>(ctl.pid) *
-                                static_cast<std::size_t>(n()) +
-                            static_cast<std::size_t>(req.peer);
+      const std::size_t c = chan_at(ctl.pid, req.peer);
       if (hashing_) {
         hash_ ^= zobrist::chan_component(
             ctl.pid, req.peer,
@@ -693,9 +670,7 @@ void Sim::execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from) {
                     "recv: chosen sender has no queued message");
         from = recv_from;
       }
-      const std::size_t c = static_cast<std::size_t>(from) *
-                                static_cast<std::size_t>(n()) +
-                            static_cast<std::size_t>(ctl.pid);
+      const std::size_t c = chan_at(from, ctl.pid);
       auto& q = chan_[c];
       if (hashing_) {
         hash_ ^= zobrist::chan_component(from, ctl.pid, chan_popped_[c],
@@ -709,9 +684,15 @@ void Sim::execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from) {
   }
 }
 
-void Sim::resume(ProcCtl& ctl) {
+void Sim::resume(ProcSlot& slot) {
+  ProcCtl& ctl = slot.ctl;
   usage_check(static_cast<bool>(ctl.resume_point), "resume: no resume point");
   ctl.resume_point.resume();
+  // A frame that returned or threw awaits no new op, so the step it just
+  // took stays pending; `step` moved that request into the history.
+  if (checkpointing_ && (ctl.terminated || ctl.exc)) {
+    ctl.pending = slot.history.back().request;
+  }
   if (ctl.exc) {
     auto exc = ctl.exc;
     ctl.exc = nullptr;

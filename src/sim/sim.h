@@ -242,8 +242,12 @@ class Sim {
   /// True if `pid` is alive and its pending op can execute now. Register ops
   /// are always executable; Recv needs a matching queued message.
   [[nodiscard]] bool enabled(Pid pid) const {
-    return alive(pid) && (pending_request(pid).kind != OpKind::Recv ||
-                          recv_ready(pid, -1));
+    if (!alive(pid)) return false;
+    if (pending_request(pid).kind != OpKind::Recv) return true;
+    for (Pid from = 0; from < n(); ++from) {
+      if (recv_ready(pid, from)) return true;
+    }
+    return false;
   }
 
   /// Replaces `out` with the senders that have queued messages matching
@@ -253,10 +257,10 @@ class Sim {
   void recv_choices(Pid pid, std::vector<Pid>& out) const;
 
   /// The pending atomic op `pid` would execute on its next step
-  /// (OpKind::Start before the first; unspecified once `pid` terminated),
-  /// valid until the next step or rewind. Exposed so the explorer's
-  /// partial-order reduction can derive the op's footprint without
-  /// executing it (src/sim/explore.cpp, detail::choice_footprint).
+  /// (OpKind::Start before the first; the last one it executed once it
+  /// terminated), valid until the next step or rewind. Exposed so the
+  /// explorer's partial-order reduction can derive the op's footprint
+  /// without executing it (src/sim/explore.cpp, detail::choice_footprint).
   [[nodiscard]] const OpRequest& pending_request(Pid pid) const {
     check_pid(pid);
     const ProcSlot& s = ctls_[static_cast<std::size_t>(pid)];
@@ -434,7 +438,11 @@ class Sim {
   [[nodiscard]] const OpResult& step_result(Pid pid, long j) const;
 
   /// This Sim's kernel work counters.
-  [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] SimStats stats() const noexcept {
+    SimStats s = stats_;
+    s.steps = total_steps_ + s.rewound;
+    return s;
+  }
 
   /// Total messages ever sent (delivered or still queued).
   [[nodiscard]] long total_sends() const noexcept { return total_sends_; }
@@ -493,6 +501,11 @@ class Sim {
   [[nodiscard]] Register& reg_at(int reg) {
     return const_cast<Register&>(std::as_const(*this).reg_at(reg));
   }
+  /// Index of the `from`->`to` channel in chan_ and chan_popped_.
+  [[nodiscard]] std::size_t chan_at(Pid from, Pid to) const noexcept {
+    return static_cast<std::size_t>(from) * ctls_.size() +
+           static_cast<std::size_t>(to);
+  }
   void check_pid(Pid pid) const {
     usage_check(pid >= 0 && pid < n(),
                 [&] { return "bad pid " + std::to_string(pid); });
@@ -505,16 +518,16 @@ class Sim {
   /// throws ModelError otherwise.
   void violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg);
   [[nodiscard]] bool may_send(Pid from, Pid to) const;
-  /// Whether the Recv pending at `pid` can take a message from `from` now
-  /// (from any sender when `from` is -1): `from` is a pid its filter admits
-  /// and its channel to `pid` holds one.
+  /// Whether the Recv pending at `pid` can take a message from `from` now:
+  /// `from` is a pid its filter admits and its channel to `pid` holds one.
   [[nodiscard]] bool recv_ready(Pid pid, Pid from) const;
   /// Executes `req`, the pending request of `ctl`'s process, into
   /// `ctl.result`.
   void execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from);
   void do_write(Pid pid, int reg, const Value& v);
   [[nodiscard]] Value do_snapshot(const std::vector<int>& regs);
-  void resume(ProcCtl& ctl);
+  /// Resumes `slot`'s frame with the result of the step just taken.
+  void resume(ProcSlot& slot);
   /// Recreates `pid`'s coroutine and fast-forwards it through the results
   /// of its first `ctl.steps` recorded steps. Runs only when a re-executed
   /// step's result differs from the one the frame consumed (see `rewind`),
@@ -539,7 +552,7 @@ class Sim {
   int reg_ops_in_step_ = 0;
   bool checkpointing_ = false;
   std::vector<UndoRecord> undo_;
-  SimStats stats_;
+  SimStats stats_;  ///< `steps` is derived in stats().
   /// Messages delivered per channel (same from*n+to indexing as chan_):
   /// gives queued messages stable absolute slot indices for hashing.
   std::vector<long> chan_popped_;
