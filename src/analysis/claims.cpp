@@ -41,15 +41,7 @@ std::function<void(Sim&, std::uint64_t)> stack_sample_runner() {
     sim::RandomRunOptions opts;
     opts.seed = seed;
     opts.max_steps = 40'000'000;
-    opts.done = [result](const Sim& s) {
-      for (int i = 0; i < s.n(); ++i) {
-        if (!s.crashed(i) &&
-            !result->decision[static_cast<std::size_t>(i)].has_value()) {
-          return false;
-        }
-      }
-      return true;
-    };
+    opts.done = [result](const Sim& s) { return result->all_decided(s); };
     run_random(sim, opts);
   };
 }

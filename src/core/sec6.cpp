@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <string>
 
 #include "msg/abd.h"
 #include "msg/abp.h"
@@ -24,17 +24,19 @@ using sim::OpResult;
 using sim::Proc;
 using sim::Task;
 
+bool Sec6Result::all_decided(const sim::Sim& sim) const {
+  for (sim::Pid p = 0; p < sim.n(); ++p) {
+    if (!sim.crashed(p) &&
+        !decision[static_cast<std::size_t>(p)].has_value()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::function<bool(const sim::Sim&)> Sec6Result::done_predicate(
     std::shared_ptr<Sec6Result> res) {
-  return [res](const sim::Sim& sim) {
-    for (sim::Pid p = 0; p < sim.n(); ++p) {
-      if (!sim.crashed(p) &&
-          !res->decision[static_cast<std::size_t>(p)].has_value()) {
-        return false;
-      }
-    }
-    return true;
-  };
+  return [res](const sim::Sim& sim) { return res->all_decided(sim); };
 }
 
 namespace {
@@ -170,6 +172,22 @@ int bit_of(std::uint64_t word, int pos) {
   return static_cast<int>((word >> pos) & 1);
 }
 
+/// One ABP link end of a pump: the peer at the other end (also its slot in
+/// the pump's pid-indexed words) and the link's offset o in the packed
+/// layout.
+template <class End>
+struct LinkEnd {
+  sim::Pid peer;
+  int o;
+  End end;
+};
+
+std::vector<sim::Pid> sorted_unique(std::vector<sim::Pid> pids) {
+  std::sort(pids.begin(), pids.end());
+  pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
+  return pids;
+}
+
 Proc abp_node_body(P p, Sec6Options opts, std::uint64_t input,
                    std::vector<int> regs,
                    std::shared_ptr<Sec6Result> result) {
@@ -180,14 +198,38 @@ Proc abp_node_body(P p, Sec6Options opts, std::uint64_t input,
   const SlotLayout layout{t};
   FloodRouter router(me, n, t);
 
-  // One ABP sender per out-neighbour, one receiver per in-neighbour.
-  std::map<sim::Pid, msg::AbpSender> senders;
-  for (sim::Pid nb : router.out_neighbours()) senders[nb];
-  std::map<sim::Pid, msg::AbpReceiver> receivers;
-  for (sim::Pid nb : router.in_neighbours()) receivers[nb];
+  // The pump's state, built once in ascending pid order: the peers whose
+  // registers it reads (my in- and out-neighbours), one ABP sender per
+  // out-neighbour and one receiver per in-neighbour. My out-link to nb has
+  // offset (nb - me) mod n; my in-link from nb is nb's out-link, with
+  // offset (me - nb) mod n.
+  const std::vector<sim::Pid> outs = sorted_unique(router.out_neighbours());
+  const std::vector<sim::Pid> ins = sorted_unique(router.in_neighbours());
+  std::vector<sim::Pid> peers = outs;
+  peers.insert(peers.end(), ins.begin(), ins.end());
+  peers = sorted_unique(std::move(peers));
+  std::vector<LinkEnd<msg::AbpSender>> senders;
+  senders.reserve(outs.size());
+  for (const sim::Pid nb : outs) {
+    senders.push_back({nb, ((nb - me) % n + n) % n, {}});
+  }
+  std::vector<LinkEnd<msg::AbpReceiver>> receivers;
+  receivers.reserve(ins.size());
+  for (const sim::Pid nb : ins) {
+    receivers.push_back({nb, ((me - nb) % n + n) % n, {}});
+  }
+  // The last word read from each peer's register, indexed by pid.
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(n), 0);
 
   const auto enqueue_env = [&](const msg::LinkSend& ls) {
-    senders.at(ls.to).enqueue(encode_bits(ls.envelope));
+    const auto link =
+        std::find_if(senders.begin(), senders.end(),
+                     [&](const auto& l) { return l.peer == ls.to; });
+    usage_check(link != senders.end(), [&] {
+      return "sec6: p" + std::to_string(me) + " has no ABP link to p" +
+             std::to_string(ls.to);
+    });
+    link->end.enqueue(encode_bits(ls.envelope));
   };
 
   AbdLayer abd(me, n, t, [&](sim::Pid dst, Value payload) {
@@ -197,51 +239,43 @@ Proc abp_node_body(P p, Sec6Options opts, std::uint64_t input,
   });
   const LocalTask app = averaging_app(abd, n, me, opts.rounds, input, result);
 
-  // The last word read from each relevant peer register, keyed by pid.
-  // Built once: every pump overwrites every entry.
-  std::map<sim::Pid, std::uint64_t> peer;
-  for (const auto& [nb, _] : receivers) peer[nb] = 0;
-  for (const auto& [nb, _] : senders) peer[nb] = 0;
-
   std::uint64_t shadow = 0;  // local copy of my register's contents
   // The pump serves forever; its trip count has no finite upper bound.
   co_await p.serve([&]() -> Task<void> {
     app.rethrow_if_failed();
-    // One pump: read every relevant peer register once (the peer map is
-    // ordered, so reads happen in ascending pid order)...
-    for (auto& [nb, word] : peer) {
-      word = (co_await p.read(regs[static_cast<std::size_t>(nb)]))
-                 .value.as_u64();
+    // One pump: read every relevant peer register once, in ascending pid
+    // order...
+    for (const sim::Pid nb : peers) {
+      words[static_cast<std::size_t>(nb)] =
+          (co_await p.read(regs[static_cast<std::size_t>(nb)])).value.as_u64();
     }
-    // ...drain incoming links (my in-link from nb is nb's out-link with
-    // offset (me - nb) mod n)...
-    for (auto& [nb, recv] : receivers) {
-      const int o = ((me - nb) % n + n) % n;
-      const std::uint64_t w = peer.at(nb);
-      for (BitVec& bits :
-           recv.poll(bit_of(w, layout.out_data(o)), bit_of(w, layout.out_alt(o)))) {
+    // ...drain incoming links...
+    for (LinkEnd<msg::AbpReceiver>& in : receivers) {
+      const std::uint64_t w = words[static_cast<std::size_t>(in.peer)];
+      for (BitVec& bits : in.end.poll(bit_of(w, layout.out_data(in.o)),
+                                      bit_of(w, layout.out_alt(in.o)))) {
         FloodRouter::RxResult rx = router.on_receive(decode_bits(bits));
         for (const msg::LinkSend& ls : rx.forwards) enqueue_env(ls);
         for (auto& [src, payload] : rx.deliveries) abd.on_message(src, payload);
       }
     }
     // ...advance outgoing links (nb stores the ack for my link me→nb in its
-    // in-slot with offset (nb - me) mod n)...
-    for (auto& [nb, snd] : senders) {
-      const int o = ((nb - me) % n + n) % n;
-      snd.poll(bit_of(peer.at(nb), layout.ack(o)));
+    // in-slot with the same offset)...
+    for (LinkEnd<msg::AbpSender>& out : senders) {
+      out.end.poll(
+          bit_of(words[static_cast<std::size_t>(out.peer)], layout.ack(out.o)));
     }
     // ...and publish my new wire state in a single register write — only
     // when it changed, so the write sits under a maybe in the IR.
     std::uint64_t now = 0;
-    for (const auto& [nb, snd] : senders) {
-      const int o = ((nb - me) % n + n) % n;
-      now |= static_cast<std::uint64_t>(snd.wire_data()) << layout.out_data(o);
-      now |= static_cast<std::uint64_t>(snd.wire_alt()) << layout.out_alt(o);
+    for (const LinkEnd<msg::AbpSender>& out : senders) {
+      now |= static_cast<std::uint64_t>(out.end.wire_data())
+             << layout.out_data(out.o);
+      now |= static_cast<std::uint64_t>(out.end.wire_alt())
+             << layout.out_alt(out.o);
     }
-    for (const auto& [nb, recv] : receivers) {
-      const int o = ((me - nb) % n + n) % n;
-      now |= static_cast<std::uint64_t>(recv.ack_bit()) << layout.ack(o);
+    for (const LinkEnd<msg::AbpReceiver>& in : receivers) {
+      now |= static_cast<std::uint64_t>(in.end.ack_bit()) << layout.ack(in.o);
     }
     co_await p.when(now != shadow, [&]() -> Task<void> {
       co_await p.write(regs[static_cast<std::size_t>(me)], Value(now),

@@ -43,15 +43,10 @@ struct Sec6Result {
   explicit Sec6Result(int n)
       : decision(static_cast<std::size_t>(n), std::nullopt) {}
 
-  /// True when every process outside `excused` has decided.
-  [[nodiscard]] bool all_decided_except(const std::vector<bool>& excused) const {
-    for (std::size_t i = 0; i < decision.size(); ++i) {
-      if (!excused[i] && !decision[i].has_value()) return false;
-    }
-    return true;
-  }
+  /// True when every process of `sim` that has not crashed has decided.
+  [[nodiscard]] bool all_decided(const sim::Sim& sim) const;
 
-  /// Done-predicate for runners: every non-crashed process has decided.
+  /// Done-predicate for runners: `all_decided` on `res`.
   [[nodiscard]] static std::function<bool(const sim::Sim&)> done_predicate(
       std::shared_ptr<Sec6Result> res);
 };

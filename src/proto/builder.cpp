@@ -139,18 +139,13 @@ sim::Task<void> P::repeat(long count,
   for (long i = 0; i < count; ++i) co_await body();
 }
 
-sim::Task<void> P::when(bool cond,
-                        std::function<sim::Task<void>()> body) const {
-  if (reflecting()) {
-    std::vector<ir::Instr> nested;
-    {
-      const SinkGuard guard(rctx_, &nested);
-      co_await body();
-    }
-    rctx_->emit(ir::maybe(std::move(nested)));
-    co_return;
+sim::Task<void> detail::reflect_maybe(ReflectCtx* ctx, sim::Task<void> body) {
+  std::vector<ir::Instr> nested;
+  {
+    const SinkGuard guard(ctx, &nested);
+    co_await body;
   }
-  if (cond) co_await body();
+  ctx->emit(ir::maybe(std::move(nested)));
 }
 
 sim::Task<void> P::serve(std::function<sim::Task<void>()> body) const {

@@ -23,10 +23,13 @@
 // the matching structured instruction in reflect mode.
 #pragma once
 
+#include <coroutine>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -96,6 +99,48 @@ class OpStep {
   sim::OpResult result_;
 };
 
+namespace detail {
+/// Reflect mode's `P::when`: runs `body` once into a nested sink and emits
+/// the sink as `maybe{…}`.
+sim::Task<void> reflect_maybe(ReflectCtx* ctx, sim::Task<void> body);
+}  // namespace detail
+
+/// Awaitable returned by `P::when`. It owns the callable, so a body lambda
+/// that captures by reference stays alive while the body's frame runs. In
+/// execute mode a false condition is ready at once: the callable is never
+/// invoked and no frame is made. A true condition transfers straight into
+/// `body()`'s frame, the only one made. Reflect mode awaits
+/// `detail::reflect_maybe` around that frame, whatever the condition.
+template <class Body>
+class [[nodiscard]] WhenStep {
+  static_assert(std::is_same_v<std::invoke_result_t<Body&>, sim::Task<void>>,
+                "P::when: the body must return sim::Task<void>");
+
+ public:
+  WhenStep(ReflectCtx* rctx, bool cond, Body body)
+      : rctx_(rctx), cond_(cond), body_(std::move(body)) {}
+
+  bool await_ready() const noexcept { return rctx_ == nullptr && !cond_; }
+  template <class Promise>
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) {
+    if (rctx_ != nullptr) {
+      task_.emplace(detail::reflect_maybe(rctx_, body_()));
+    } else {
+      task_.emplace(body_());
+    }
+    return task_->await_suspend(h);
+  }
+  void await_resume() {
+    if (task_) task_->await_resume();  // rethrows the body's exception
+  }
+
+ private:
+  ReflectCtx* rctx_;
+  bool cond_;
+  Body body_;
+  std::optional<sim::Task<void>> task_;  ///< Declared last: dies first.
+};
+
 /// Per-process handle a protocol body runs against. Copyable and passed
 /// *by value* into coroutine bodies (coroutine parameters are copied into
 /// the frame, so the handle outlives any suspension of the body).
@@ -147,9 +192,14 @@ class P {
   [[nodiscard]] sim::Task<void> repeat(
       long count, std::function<sim::Task<void>()> body) const;
   /// A conditional block, `loop[0,1]` in the IR. Reflect runs the body
-  /// regardless of `cond`, so every op on the branch is audited.
-  [[nodiscard]] sim::Task<void> when(
-      bool cond, std::function<sim::Task<void>()> body) const;
+  /// regardless of `cond`, so every op on the branch is audited. In execute
+  /// mode a false condition costs nothing (no call, no frame, no step) and
+  /// a true one awaits `body()` directly. The returned awaitable owns
+  /// `body`; await it where it is made.
+  template <class Body>
+  [[nodiscard]] WhenStep<Body> when(bool cond, Body body) const {
+    return WhenStep<Body>(rctx_, cond, std::move(body));
+  }
   /// An unbounded serve-forever loop, a serve-marked `loop[0,∞]` in the IR
   /// (exempt from the static-termination rule by declaration). In execute
   /// mode the body repeats until the coroutine is externally crash-stopped

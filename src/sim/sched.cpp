@@ -18,6 +18,17 @@ RunReport summarize(const Sim& sim, long steps, bool hit_limit) {
   return rep;
 }
 
+namespace {
+
+bool any_enabled(const Sim& sim) {
+  for (Pid p = 0; p < sim.n(); ++p) {
+    if (sim.enabled(p)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 RunReport run_round_robin(Sim& sim, long max_steps) {
   long steps = 0;
   Pid next = 0;
@@ -35,7 +46,7 @@ RunReport run_round_robin(Sim& sim, long max_steps) {
     if (!found) return summarize(sim, steps, false);
     ++steps;
   }
-  return summarize(sim, steps, true);
+  return summarize(sim, steps, any_enabled(sim));
 }
 
 RunReport run_round_robin_until(Sim& sim,
@@ -58,7 +69,7 @@ RunReport run_round_robin_until(Sim& sim,
     if (!found) return summarize(sim, steps, false);
     ++steps;
   }
-  return summarize(sim, steps, true);
+  return summarize(sim, steps, !done(sim) && any_enabled(sim));
 }
 
 RunReport run_random(Sim& sim, const RandomRunOptions& opts) {
@@ -100,7 +111,8 @@ RunReport run_random(Sim& sim, const RandomRunOptions& opts) {
     sim.step(p, from);
     ++steps;
   }
-  return summarize(sim, steps, true);
+  return summarize(sim, steps,
+                   !(opts.done && opts.done(sim)) && any_enabled(sim));
 }
 
 std::size_t run_schedule(Sim& sim, const std::vector<Choice>& schedule) {

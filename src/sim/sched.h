@@ -26,7 +26,10 @@ struct RunReport {
   /// peer) when the run stopped.
   std::vector<Pid> blocked;
   long steps = 0;
-  /// True if the run stopped because max_steps was hit (suspected livelock).
+  /// True if the run stopped at max_steps while it could still go on: no
+  /// early-stop predicate held and some process was enabled (suspected
+  /// livelock). A run whose last step lands on the cap and finishes it is
+  /// not cut.
   bool hit_step_limit = false;
 
   [[nodiscard]] bool all_decided(int n) const {
@@ -51,8 +54,9 @@ struct RandomRunOptions {
   std::uint64_t crash_num = 5;
   static constexpr std::uint64_t kCrashDen = 100;
   long max_steps = 1'000'000;
-  /// Optional early-stop predicate, checked after every step (for systems
-  /// with non-terminating server processes).
+  /// Optional early-stop predicate, checked before every scheduling
+  /// decision and once more when `max_steps` is reached (for systems with
+  /// non-terminating server processes).
   std::function<bool(const Sim&)> done;
 };
 
@@ -61,7 +65,7 @@ RunReport run_random(Sim& sim, const RandomRunOptions& opts);
 
 /// Round-robin with an early-stop predicate, for systems whose processes
 /// poll forever (e.g. the §6 register stack): stops as soon as `done(sim)`
-/// holds, checked between steps.
+/// holds, checked before every step and once more at `max_steps`.
 RunReport run_round_robin_until(Sim& sim,
                                 const std::function<bool(const Sim&)>& done,
                                 long max_steps = 10'000'000);

@@ -6,7 +6,9 @@
 // structural diff instead of a silent audit change.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/claims.h"
@@ -14,6 +16,7 @@
 #include "core/alg1.h"
 #include "proto/builder.h"
 #include "sim/explore.h"
+#include "support/counting_new.h"
 #include "util/errors.h"
 
 namespace bsr {
@@ -290,6 +293,115 @@ TEST(Builder, ChannelDeclarationsEnforceTopologyInExecuteMode) {
     ASSERT_FALSE(sim->model_violations().empty());
     EXPECT_EQ(sim->model_violations()[0].kind,
               sim::ModelEvent::Kind::Topology);
+  }
+}
+
+// --------------------------------------------------------------- P::when --
+// `when` returns an awaitable that owns its callable: execute mode makes no
+// frame for a false condition and awaits the body's own frame for a true
+// one; reflect mode runs the body once under `maybe` either way.
+
+/// One process with one register, installed through the builder.
+struct WhenRig {
+  sim::Sim sim{1};
+  int reg = -1;
+
+  WhenRig() {
+    proto::Proto pr(sim);
+    reg = pr.add_register("R", 0, sim::kUnbounded, Value(0));
+  }
+  void spawn(std::function<sim::Proc(proto::P)> body) {
+    proto::Proto pr(sim);
+    pr.spawn(0, std::move(body));
+  }
+  void run() {
+    while (sim.enabled(0)) sim.step(0);
+  }
+};
+
+TEST(BuilderWhen, FalseConditionSkipsTheBodyWithoutAStepOrAnAllocation) {
+  WhenRig rig;
+  bool invoked = false;
+  long allocations = -1;
+  rig.spawn([&](proto::P p) -> sim::Proc {
+    {
+      const test::AllocationCount counted;
+      co_await p.when(false, [&]() -> sim::Task<void> {
+        invoked = true;
+        co_await p.write(rig.reg, Value(1), air::ValueExpr::any());
+      });
+      allocations = counted.count();
+    }
+    co_return Value(0);
+  });
+  rig.run();
+  ASSERT_TRUE(rig.sim.terminated(0));
+  EXPECT_FALSE(invoked);
+  EXPECT_EQ(allocations, 0);
+  EXPECT_EQ(rig.sim.steps(0), 1);  // the start step alone
+  EXPECT_EQ(rig.sim.peek(rig.reg), Value(0));
+}
+
+TEST(BuilderWhen, TrueConditionRunsTheBodyOnceWithItsOpsAsSteps) {
+  WhenRig rig;
+  int runs = 0;
+  rig.spawn([&](proto::P p) -> sim::Proc {
+    co_await p.when(true, [&]() -> sim::Task<void> {
+      ++runs;
+      co_await p.write(rig.reg, Value(1), air::ValueExpr::any());
+      co_await p.write(rig.reg, Value(2), air::ValueExpr::any());
+    });
+    co_return Value(7);
+  });
+  rig.run();
+  ASSERT_TRUE(rig.sim.terminated(0));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(rig.sim.steps(0), 3);  // start + the body's two writes
+  EXPECT_EQ(rig.sim.peek(rig.reg), Value(2));
+  EXPECT_EQ(rig.sim.decision(0), Value(7));
+}
+
+TEST(BuilderWhen, ThrowInATakenBodyReachesTheAwaitingProcess) {
+  WhenRig rig;
+  std::string caught;
+  rig.spawn([&](proto::P p) -> sim::Proc {
+    try {
+      co_await p.when(true, [&]() -> sim::Task<void> {
+        co_await p.write(rig.reg, Value(1), air::ValueExpr::any());
+        throw ModelError("taken body failed");
+      });
+    } catch (const ModelError& e) {
+      caught = e.what();
+    }
+    co_return Value(0);
+  });
+  rig.run();
+  ASSERT_TRUE(rig.sim.terminated(0));
+  EXPECT_EQ(caught, "taken body failed");
+  EXPECT_EQ(rig.sim.steps(0), 2);  // start + the write before the throw
+}
+
+TEST(BuilderWhen, ReflectEmitsTheBranchUnderMaybeForEitherCondition) {
+  for (const bool cond : {false, true}) {
+    SCOPED_TRACE(cond ? "cond true" : "cond false");
+    proto::Proto pr(proto::Proto::ReflectOptions{.n = 1, .params = {}});
+    const int reg = pr.add_register("R", 0, 2, Value(0));
+    pr.spawn(0, [cond, reg](proto::P p) -> sim::Proc {
+      co_await p.when(cond, [&]() -> sim::Task<void> {
+        co_await p.write(reg, Value(1), air::ValueExpr::range(0, 1));
+        (void)co_await p.read(reg);
+      });
+      co_return Value(0);
+    });
+    air::ProtocolIR want;
+    want.registers.push_back(air::RegisterDecl{"R", 0, 2, false, false});
+    air::ProcessIR proc;
+    proc.pid = 0;
+    proc.body.push_back(air::maybe(
+        {air::write(reg, air::ValueExpr::range(0, 1)), air::read(reg)}));
+    want.processes.push_back(std::move(proc));
+    const air::ProtocolIR got = std::move(pr).take_ir();
+    EXPECT_TRUE(got == want) << air::diff(want, got);
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 namespace bsr::sim {
 namespace {
@@ -24,6 +26,22 @@ std::unique_ptr<Sim> make_pair_sim() {
   sim->spawn(1, body);
   return sim;
 }
+
+/// p0 serves forever; p1 takes one message and decides. Only an early-stop
+/// predicate ends a run of it.
+std::unique_ptr<Sim> make_chatty_sim() {
+  auto sim = std::make_unique<Sim>(2);
+  sim->spawn(0, [](Env& env) -> Proc {
+    for (;;) co_await env.send(1, Value(1));
+  });
+  sim->spawn(1, [](Env& env) -> Proc {
+    co_await env.recv();
+    co_return Value(42);
+  });
+  return sim;
+}
+
+bool p1_decided(const Sim& s) { return s.terminated(1); }
 
 TEST(RoundRobin, RunsToCompletion) {
   auto sim = make_pair_sim();
@@ -88,21 +106,80 @@ TEST(RandomRun, CrashInjectionRespectsBudget) {
 }
 
 TEST(RandomRun, DonePredicateStopsEarly) {
-  Sim sim(2);
-  sim.spawn(0, [](Env& env) -> Proc {
-    for (;;) co_await env.send(1, Value(1));  // a chatty server, never done
-  });
-  sim.spawn(1, [](Env& env) -> Proc {
-    co_await env.recv();
-    co_return Value(42);
-  });
+  auto sim = make_chatty_sim();
   RandomRunOptions opts;
   opts.seed = 3;
-  opts.done = [](const Sim& s) { return s.terminated(1); };
-  const RunReport rep = run_random(sim, opts);
+  opts.done = p1_decided;
+  const RunReport rep = run_random(*sim, opts);
   EXPECT_FALSE(rep.hit_step_limit);
-  EXPECT_TRUE(sim.terminated(1));
-  EXPECT_EQ(sim.decision(1).as_u64(), 42u);
+  EXPECT_TRUE(sim->terminated(1));
+  EXPECT_EQ(sim->decision(1).as_u64(), 42u);
+}
+
+// ----------------------------------------------------------- step cap --
+// A run is cut only if it could still go on at the cap: a run whose last
+// step lands exactly on `max_steps` and finishes reports no step limit.
+
+bool never(const Sim&) { return false; }
+
+/// Runs `make`'s Sim uncapped to learn how many steps a finished run takes,
+/// then again with the cap at exactly that many (not cut, same outcome)
+/// and at one fewer (cut).
+void expect_cap_boundary(const std::function<std::unique_ptr<Sim>()>& make,
+                         const std::function<RunReport(Sim&, long)>& run) {
+  auto free_sim = make();
+  const RunReport full = run(*free_sim, 1'000'000);
+  ASSERT_FALSE(full.hit_step_limit);
+  ASSERT_GT(full.steps, 0);
+
+  auto exact_sim = make();
+  const RunReport exact = run(*exact_sim, full.steps);
+  EXPECT_EQ(exact.steps, full.steps);
+  EXPECT_FALSE(exact.hit_step_limit);
+  EXPECT_EQ(exact.decided, full.decided);
+
+  auto short_sim = make();
+  const RunReport cut = run(*short_sim, full.steps - 1);
+  EXPECT_EQ(cut.steps, full.steps - 1);
+  EXPECT_TRUE(cut.hit_step_limit);
+}
+
+TEST(StepCap, RoundRobinEndingOnTheCapIsNotCut) {
+  expect_cap_boundary(make_pair_sim, [](Sim& sim, long cap) {
+    return run_round_robin(sim, cap);
+  });
+  auto sim = make_pair_sim();
+  EXPECT_EQ(run_round_robin(*sim, 6).steps, 6);  // start, write, read each
+}
+
+TEST(StepCap, RoundRobinUntilEndingOnTheCapIsNotCut) {
+  // Ended by termination: the predicate never holds.
+  expect_cap_boundary(make_pair_sim, [](Sim& sim, long cap) {
+    return run_round_robin_until(sim, never, cap);
+  });
+  // Ended by the predicate while the server is still enabled.
+  expect_cap_boundary(make_chatty_sim, [](Sim& sim, long cap) {
+    return run_round_robin_until(sim, p1_decided, cap);
+  });
+}
+
+TEST(StepCap, RandomRunEndingOnTheCapIsNotCut) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_cap_boundary(make_pair_sim, [seed](Sim& sim, long cap) {
+      RandomRunOptions opts;
+      opts.seed = seed;
+      opts.max_steps = cap;
+      return run_random(sim, opts);
+    });
+    expect_cap_boundary(make_chatty_sim, [seed](Sim& sim, long cap) {
+      RandomRunOptions opts;
+      opts.seed = seed;
+      opts.max_steps = cap;
+      opts.done = p1_decided;
+      return run_random(sim, opts);
+    });
+  }
 }
 
 TEST(RunSchedule, ReplaysAndStopsOnInapplicable) {
