@@ -10,8 +10,6 @@
 //     constant); larger Δ buys more executions (finer ε) per round.
 //  C. ABP framing overhead — wire bits transferred per payload bit
 //     (the paper's 0-stuffed encoding costs exactly 2×).
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <memory>
 
@@ -44,6 +42,8 @@ void print_layer_ablation() {
     sim::Sim sim(n);
     core::install_unbounded_agreement(sim, rounds, inputs);
     const auto rep = run_round_robin(sim);
+    bench::expect("primitive registers steps", 10L, rep.steps);
+    bench::expect("primitive registers solved", true, rep.all_decided(n));
     table.row({"primitive registers (Lemma 2.2)",
                bench::str(n) + " unbounded regs", bench::str(rep.steps),
                rep.all_decided(n) ? "yes" : "NO"});
@@ -54,6 +54,8 @@ void print_layer_ablation() {
     core::install_abd_stack(sim, core::Sec6Options{t, rounds}, inputs, result);
     const auto rep = run_round_robin_until(
         sim, core::Sec6Result::done_predicate(result), 50'000'000);
+    bench::expect("ABD / complete graph steps", 691L, rep.steps);
+    bench::expect("ABD / complete graph solved", true, !rep.hit_step_limit);
     table.row({"ABD / complete graph", "n^2 FIFO channels",
                bench::str(rep.steps), rep.hit_step_limit ? "NO" : "yes"});
   }
@@ -63,6 +65,8 @@ void print_layer_ablation() {
     core::install_ring_stack(sim, core::Sec6Options{t, rounds}, inputs, result);
     const auto rep = run_round_robin_until(
         sim, core::Sec6Result::done_predicate(result), 50'000'000);
+    bench::expect("ABD / t-augmented ring steps", 1'591L, rep.steps);
+    bench::expect("ABD / t-augmented ring solved", true, !rep.hit_step_limit);
     table.row({"ABD / t-augmented ring", "n(t+1) FIFO links",
                bench::str(rep.steps), rep.hit_step_limit ? "NO" : "yes"});
   }
@@ -73,6 +77,8 @@ void print_layer_ablation() {
                                  result);
     const auto rep = run_round_robin_until(
         sim, core::Sec6Result::done_predicate(result), 200'000'000);
+    bench::expect("ABP register stack steps", 606'300L, rep.steps);
+    bench::expect("ABP register stack solved", true, !rep.hit_step_limit);
     table.row({"ABP register stack (Thm 1.3)",
                bench::str(n) + " regs x " +
                    bench::str(core::sec6_register_bits(t)) + " bits",
@@ -90,6 +96,8 @@ void print_delta_ablation() {
       "IS executions (finer ε) per round R — Δ=2 is the width-optimal "
       "choice used by Theorem 8.1");
   bench::Table table({"Δ", "register bits", "sequences @R=8", "2^R"});
+  const int bits[] = {6, 7, 9, 10};
+  const long sequences[] = {1'393, 4'561, 5'969, 6'399};
   for (int delta = 2; delta <= 5; ++delta) {
     // Count outcome sequences with no Δ consecutive same-process solos.
     const int R = 8;
@@ -113,6 +121,10 @@ void print_delta_ablation() {
       }
     };
     rec(0, 0, -1);
+    const std::string row = "Δ=" + bench::str(delta);
+    bench::expect(row + " register bits", bits[delta - 2],
+                  core::alg6_register_bits(delta));
+    bench::expect(row + " sequences @R=8", sequences[delta - 2], count);
     table.row({bench::str(delta), bench::str(core::alg6_register_bits(delta)),
                bench::str(count), bench::str(1 << 8)});
   }
@@ -135,49 +147,25 @@ void print_framing_ablation() {
     int last_ack = r.ack_bit();
     while (!s.idle()) {
       s.poll(r.ack_bit());
-      benchmark::DoNotOptimize(r.poll(s.wire_data(), s.wire_alt()));
+      r.poll(s.wire_data(), s.wire_alt());
       if (r.ack_bit() != last_ack) {
         ++wire;
         last_ack = r.ack_bit();
       }
     }
+    bench::expect("payload bits " + bench::str(len) + " wire bits", 2L * len,
+                  wire);
     table.row({bench::str(len), bench::str(wire),
                bench::str(wire / len) + "x"});
   }
   table.print();
 }
 
-void BM_LayerPrimitive(benchmark::State& state) {
-  const std::vector<std::uint64_t> inputs{0, 1, 1, 0, 1};
-  for (auto _ : state) {
-    sim::Sim sim(5);
-    core::install_unbounded_agreement(sim, 1, inputs);
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.total_steps());
-  }
-}
-BENCHMARK(BM_LayerPrimitive);
-
-void BM_LayerRegisterStack(benchmark::State& state) {
-  const std::vector<std::uint64_t> inputs{0, 1, 1, 0, 1};
-  for (auto _ : state) {
-    sim::Sim sim(5);
-    auto result = std::make_shared<core::Sec6Result>(5);
-    core::install_register_stack(sim, core::Sec6Options{2, 1}, inputs, result);
-    run_round_robin_until(sim, core::Sec6Result::done_predicate(result),
-                          200'000'000);
-    benchmark::DoNotOptimize(sim.total_steps());
-  }
-}
-BENCHMARK(BM_LayerRegisterStack)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_layer_ablation();
   print_delta_ablation();
   print_framing_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -3,8 +3,6 @@
 // paper's impossibility is measured against, with the optimal Θ(log 1/ε)
 // step complexity and register contents that grow with the precision
 // (exactly what the bounded-register model forbids).
-#include <benchmark/benchmark.h>
-
 #include "common.h"
 #include "core/baseline.h"
 #include "sim/sched.h"
@@ -44,8 +42,13 @@ void print_baseline() {
     const bool ok =
         all_done &&
         tasks::check_outputs(task, cfg, tasks::decisions_of(sim)).ok;
+    const long steps = sim.steps(0) - 1;
+    const std::string row = "n=" + bench::str(n) + " T=" + bench::str(T);
+    bench::expect(row + " steps/proc", static_cast<long>(T), steps);
+    bench::expect(row + " max value bits", T + 1, max_bits);
+    bench::expect(row + " agreement OK", true, ok);
     table.row({bench::str(n), bench::str(T),
-               bench::str(std::uint64_t{1} << T), bench::str(sim.steps(0) - 1),
+               bench::str(std::uint64_t{1} << T), bench::str(steps),
                bench::str(max_bits), ok ? "yes" : "NO"});
   }
   table.print();
@@ -54,47 +57,9 @@ void print_baseline() {
                "for t < n/2\n";
 }
 
-void BM_UnboundedAgreement(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int T = static_cast<int>(state.range(1));
-  std::vector<std::uint64_t> inputs;
-  for (int i = 0; i < n; ++i) inputs.push_back(static_cast<std::uint64_t>(i % 2));
-  for (auto _ : state) {
-    sim::Sim sim(n);
-    core::install_unbounded_agreement(sim, T, inputs);
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.decision(0));
-  }
-}
-BENCHMARK(BM_UnboundedAgreement)
-    ->Args({2, 10})
-    ->Args({8, 10})
-    ->Args({16, 20})
-    ->Args({32, 20});
-
-void BM_SimStepThroughput(benchmark::State& state) {
-  // Raw kernel throughput: steps per second of a tight read/write loop.
-  sim::Sim sim(1);
-  const int r = sim.add_register("R", 0, sim::kUnbounded, Value(0));
-  sim.spawn(0, [r](sim::Env& env) -> sim::Proc {
-    for (;;) {
-      co_await env.write(r, Value(1));
-      co_await env.read(r);
-    }
-  });
-  sim.step(0);  // start
-  for (auto _ : state) {
-    sim.step(0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimStepThroughput);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_baseline();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -3,8 +3,6 @@
 // labelled with the register contents at each state. We regenerate it by
 // exhaustively enumerating every execution and grouping final states by
 // (iterations, decide line, outputs, registers).
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <memory>
 
@@ -61,52 +59,29 @@ void print_figure2() {
 
   bench::Table table({"y1/(2k+1)", "y2/(2k+1)", "r1", "r2", "(R1,R2)",
                       "#executions"});
+  std::string outputs;
   for (const auto& [key, prof] : profiles) {
     const auto& [y0, y1, r0, r1, word] = key;
+    outputs += "(" + bench::str(y0) + "," + bench::str(y1) + ")";
     table.row({bench::str(y0) + "/9", bench::str(y1) + "/9", bench::str(r0),
                bench::str(r1), word, bench::str(prof.count)});
   }
   table.print();
+  bench::expect("total executions", 73'738L, total);
+  bench::expect("outcome profiles", std::size_t{9}, profiles.size());
+  // The chromatic path of Figure 2, one profile per final state.
+  bench::expect<std::string>("profile outputs",
+                             "(0,1)(2,1)(2,3)(4,3)(4,5)(6,5)(6,7)(8,7)(8,9)",
+                             outputs);
+  bench::expect("max |y1-y2| <= 1", true, max_gap <= 1);
   std::cout << "  total executions: " << total
             << ", distinct outcome profiles: " << profiles.size()
             << ", max |y1-y2| (grid steps): " << max_gap << " (paper: <= 1)\n";
 }
 
-void BM_Alg1Exhaustive(benchmark::State& state) {
-  const auto k = static_cast<std::uint64_t>(state.range(0));
-  long execs = 0;
-  for (auto _ : state) {
-    sim::Explorer ex(sim::ExploreOptions{.max_steps = 200});
-    execs = ex.explore(
-        [&]() {
-          auto sim = std::make_unique<sim::Sim>(2);
-          core::install_alg1(*sim, k, {0, 1});
-          return sim;
-        },
-        [](sim::Sim&, const std::vector<sim::Choice>&) {});
-  }
-  state.counters["executions"] = static_cast<double>(execs);
-}
-BENCHMARK(BM_Alg1Exhaustive)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
-void BM_Alg1LockstepRun(benchmark::State& state) {
-  const auto k = static_cast<std::uint64_t>(state.range(0));
-  long steps = 0;
-  for (auto _ : state) {
-    sim::Sim sim(2);
-    core::install_alg1(sim, k, {0, 1});
-    run_round_robin(sim);
-    steps = sim.total_steps();
-  }
-  state.counters["sim_steps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_Alg1LockstepRun)->Arg(16)->Arg(256)->Arg(4096);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -1,8 +1,6 @@
 // Figure 3 reproduction: the t-augmented ring (the 2-augmented 7-node ring
 // of the figure) — topology, (t+1)-connectivity under every ≤t removal set,
 // and the flooding router's delivery cost (link transmissions per message).
-#include <benchmark/benchmark.h>
-
 #include <deque>
 
 #include "common.h"
@@ -57,6 +55,12 @@ void print_figure3() {
     for (sim::Pid p : edges[static_cast<std::size_t>(i)]) {
       nbrs += std::to_string(p) + " ";
     }
+    std::string successors;
+    for (int d = 1; d <= t + 1; ++d) {
+      successors += std::to_string((i + d) % n) + " ";
+    }
+    bench::expect("node " + bench::str(i) + " out-neighbours", successors,
+                  nbrs);
     topo.row({bench::str(i), nbrs});
   }
   topo.print();
@@ -77,12 +81,24 @@ void print_figure3() {
       ++sets;
       ok += msg::strongly_connected_after_removal(e, removed) ? 1 : 0;
     }
+    // Σ_{i <= t} C(n, i) removal sets.
+    long binomial_sum = 0;
+    long binom = 1;
+    for (int i = 0; i <= tt; ++i) {
+      binomial_sum += binom;
+      binom = binom * (nn - i) / (i + 1);
+    }
+    const std::string row = "n=" + bench::str(nn) + " t=" + bench::str(tt);
+    bench::expect(row + " removal sets", binomial_sum, sets);
+    bench::expect(row + " all still connected", true, ok == sets);
     conn.row({bench::str(nn), bench::str(tt), bench::str(sets),
               bench::str(ok) + (ok == sets ? " (all)" : " (!!)")});
   }
   conn.print();
 
-  // Flooding cost: link transmissions per message by ring distance.
+  // Flooding cost: link transmissions per message by ring distance, the
+  // same with or without crashes.
+  const std::vector<long> link_msgs{1, 1, 1, 6, 9, 12};
   bench::Table cost({"dst (from 0)", "link msgs (no crash)",
                      "link msgs (worst <=t crash)", "delivered"});
   for (int dst = 1; dst < n; ++dst) {
@@ -106,31 +122,20 @@ void print_figure3() {
       worst = std::max(worst, tx2);
       all_ok &= ok2;
     }
+    const std::string row = "dst " + bench::str(dst);
+    const long want = link_msgs[static_cast<std::size_t>(dst - 1)];
+    bench::expect(row + " link msgs", want, tx);
+    bench::expect(row + " link msgs (worst crash)", want, worst);
+    bench::expect(row + " delivered", true, all_ok);
     cost.row({bench::str(dst), bench::str(tx), bench::str(worst),
               all_ok ? "yes" : "NO"});
   }
   cost.print();
 }
 
-void BM_FloodDelivery(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int t = static_cast<int>(state.range(1));
-  long tx = 0;
-  for (auto _ : state) {
-    const auto [transmissions, ok] =
-        flood_once(n, t, 0, n / 2, std::vector<bool>(static_cast<std::size_t>(n), false));
-    benchmark::DoNotOptimize(ok);
-    tx = transmissions;
-  }
-  state.counters["link_msgs"] = static_cast<double>(tx);
-}
-BENCHMARK(BM_FloodDelivery)->Args({7, 2})->Args({15, 3})->Args({31, 5});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -2,8 +2,6 @@
 // a path that triples every round (3^r executions / 3^r+1 final states
 // after r rounds), plus the one-round outcome censuses for more processes
 // (ordered partitions / Fubini numbers) and the IC-vs-IS gap of §7.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <set>
 
@@ -54,6 +52,9 @@ void print_figure4() {
           }
         };
     rec(topo::LabellingProcess(0), topo::LabellingProcess(1), 0);
+    const std::string row = "r=" + bench::str(r);
+    bench::expect(row + " executions", static_cast<long>(pow3(r)), execs);
+    bench::expect(row + " labels", pow3(r) + 1, labels.size());
     table.row({bench::str(r), bench::str(execs), bench::str(pow3(r)),
                bench::str(labels.size()), bench::str(pow3(r) + 1)});
   }
@@ -63,60 +64,28 @@ void print_figure4() {
                 "IS rounds = ordered partitions (Fubini numbers); IC rounds "
                 "are strictly more numerous for n >= 3 (§7)");
   bench::Table census({"n", "IS outcomes", "Fubini(n)", "IC outcomes"});
+  const std::size_t fubini[] = {3, 13, 75};
+  const std::size_t ic[] = {3, 25, 543};
   for (int n = 2; n <= 4; ++n) {
     std::vector<sim::Pid> pids;
     for (int i = 0; i < n; ++i) pids.push_back(i);
-    census.row({bench::str(n),
-                bench::str(memory::all_ordered_partitions(pids).size()),
+    const std::size_t is_outcomes = memory::all_ordered_partitions(pids).size();
+    const std::size_t ic_outcomes = memory::all_ic_outcomes(n).size();
+    const std::string row = "n=" + bench::str(n);
+    bench::expect(row + " IS outcomes", fubini[n - 2], is_outcomes);
+    bench::expect(row + " Fubini(n)", fubini[n - 2],
+                  memory::ordered_partition_count(n));
+    bench::expect(row + " IC outcomes", ic[n - 2], ic_outcomes);
+    census.row({bench::str(n), bench::str(is_outcomes),
                 bench::str(memory::ordered_partition_count(n)),
-                bench::str(memory::all_ic_outcomes(n).size())});
+                bench::str(ic_outcomes)});
   }
   census.print();
 }
 
-void BM_EnumerateISExecutions(benchmark::State& state) {
-  const int r = static_cast<int>(state.range(0));
-  long execs = 0;
-  for (auto _ : state) {
-    execs = 0;
-    std::function<void(topo::LabellingProcess, topo::LabellingProcess, int)>
-        rec = [&](topo::LabellingProcess a, topo::LabellingProcess b,
-                  int depth) {
-          if (depth == r) {
-            ++execs;
-            return;
-          }
-          const int b0 = a.write_bit();
-          const int b1 = b.write_bit();
-          for (int oc = 0; oc < 3; ++oc) {
-            topo::LabellingProcess a2 = a;
-            topo::LabellingProcess b2 = b;
-            a2.observe(oc == 0 ? std::nullopt : std::optional<int>(b1));
-            b2.observe(oc == 1 ? std::nullopt : std::optional<int>(b0));
-            rec(a2, b2, depth + 1);
-          }
-        };
-    rec(topo::LabellingProcess(0), topo::LabellingProcess(1), 0);
-  }
-  state.counters["executions"] = static_cast<double>(execs);
-}
-BENCHMARK(BM_EnumerateISExecutions)->Arg(5)->Arg(8)->Arg(10);
-
-void BM_OrderedPartitions(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<sim::Pid> pids;
-  for (int i = 0; i < n; ++i) pids.push_back(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(memory::all_ordered_partitions(pids));
-  }
-}
-BENCHMARK(BM_OrderedPartitions)->Arg(3)->Arg(5)->Arg(7);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

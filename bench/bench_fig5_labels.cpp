@@ -2,8 +2,6 @@
 // their associated ε-agreement values f(λ) = pos/3^r. The figure shows the
 // r = 3 path (28 labels, values 0, 1/27, …, 1); we print it and verify the
 // two defining properties (solo extremities, adjacent co-final labels).
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <map>
 #include <set>
@@ -48,6 +46,16 @@ void print_figure5() {
   rec(topo::LabellingProcess(0), topo::LabellingProcess(1), 0);
 
   const std::uint64_t denom = pow3(r);
+  std::set<std::uint64_t> labels;
+  for (const auto& [a, b] : finals) {
+    labels.insert(a);
+    labels.insert(b);
+    // The labels alternate between the processes: p0's are the even ones.
+    bench::expect("final (" + bench::str(a) + "," + bench::str(b) +
+                      ") colours",
+                  true, a % 2 == 0 && b % 2 == 1);
+  }
+  bench::expect("labels", denom + 1, labels.size());
   bench::Table table({"pos", "process", "f(λ)", "write bit", "co-final with"});
   for (std::uint64_t pos = 0; pos <= denom; ++pos) {
     std::set<std::uint64_t> partners;
@@ -57,35 +65,25 @@ void print_figure5() {
     }
     std::string ps;
     for (std::uint64_t p : partners) ps += std::to_string(p) + " ";
+    // A path: each label is co-final exactly with its neighbours.
+    std::string neighbours;
+    if (pos > 0) neighbours += std::to_string(pos - 1) + " ";
+    if (pos < denom) neighbours += std::to_string(pos + 1) + " ";
+    bench::expect("pos " + bench::str(pos) + " co-final with", neighbours,
+                  ps);
     table.row({bench::str(pos), pos % 2 == 0 ? "p0" : "p1",
                bench::str(pos) + "/" + bench::str(denom),
                bench::str(topo::label_write_bit(pos)), ps});
   }
   table.print();
+  bench::expect("distinct final configurations", denom, finals.size());
   std::cout << "  distinct final configurations: " << finals.size()
             << " (paper: 3^r = " << denom << ")\n";
 }
 
-void BM_LabelUpdateChain(benchmark::State& state) {
-  // Cost of running the labelling protocol for r rounds (pure state
-  // machine; this is the per-process work added by §8's construction).
-  const int r = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    topo::LabellingProcess p(0);
-    for (int i = 0; i < r; ++i) {
-      p.observe(i % 2 == 0 ? std::optional<int>(topo::label_write_bit(p.pos() + 1))
-                           : std::nullopt);
-    }
-    benchmark::DoNotOptimize(p.pos());
-  }
-}
-BENCHMARK(BM_LabelUpdateChain)->Arg(10)->Arg(20)->Arg(38);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

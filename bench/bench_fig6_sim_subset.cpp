@@ -7,8 +7,6 @@
 // consecutive rounds, the family the Lemma's proof constructs) and *replay*
 // each of them as a real schedule of Algorithm 6, verifying that the
 // simulation realizes exactly the intended IS execution.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 
 #include "common.h"
@@ -124,6 +122,10 @@ void print_figure6() {
       "exactly on the real simulation");
   bench::Table table(
       {"R", "restricted sequences", "2^R bound", "replayed OK", "full IS 3^R"});
+  // EXPERIMENTS.md quotes this series: 3, 7, 17, 41, 99, …, 275 807.
+  const long sequences[] = {3,     7,     17,    41,     99,
+                            239,   577,   1393,  3363,   8119,
+                            19601, 47321, 114243, 275807};
   for (int R = 1; R <= 14; ++R) {
     long count = 0;
     long realized = 0;
@@ -131,6 +133,12 @@ void print_figure6() {
     census(R, 2, verify, count, realized);
     std::uint64_t p3 = 1;
     for (int i = 0; i < R; ++i) p3 *= 3;
+    const std::string row = "R=" + bench::str(R);
+    bench::expect(row + " restricted sequences", sequences[R - 1], count);
+    const auto c = static_cast<std::uint64_t>(count);
+    bench::expect(row + " 2^R <= count <= 3^R", true,
+                  (std::uint64_t{1} << R) <= c && c <= p3);
+    if (verify) bench::expect(row + " replayed OK", count, realized);
     table.row({bench::str(R), bench::str(count),
                bench::str(std::uint64_t{1} << R),
                verify ? bench::str(realized) : std::string("(skipped)"),
@@ -139,24 +147,9 @@ void print_figure6() {
   table.print();
 }
 
-void BM_RealizeOneSequence(benchmark::State& state) {
-  const int R = static_cast<int>(state.range(0));
-  std::vector<Outcome> seq;
-  for (int i = 0; i < R; ++i) {
-    seq.push_back(i % 3 == 0 ? Outcome::Both
-                             : (i % 3 == 1 ? Outcome::Solo0 : Outcome::Solo1));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(realize(seq, 2));
-  }
-}
-BENCHMARK(BM_RealizeOneSequence)->Arg(5)->Arg(10)->Arg(20);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

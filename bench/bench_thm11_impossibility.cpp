@@ -3,8 +3,6 @@
 // k(n, t, s) = 2(2^s)^{n−t+1} + 1. We print the threshold table, then run
 // the proof's adversary against Algorithm-1-based early groups: exhibit the
 // footprint collision and the end-to-end violating execution.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.h"
@@ -27,6 +25,10 @@ void print_threshold_table() {
            {3, 2}, {4, 3}, {5, 3}, {5, 4}, {6, 4}, {7, 4}}) {
     for (int s : {1, 2, 4}) {
       const std::uint64_t k = core::impossibility_threshold(n, t, s);
+      const std::uint64_t words = std::uint64_t{1} << (s * (n - t + 1));
+      bench::expect("n=" + bench::str(n) + " t=" + bench::str(t) +
+                        " s=" + bench::str(s) + " k(n,t,s)",
+                    2 * words + 1, k);
       table.row({bench::str(n), bench::str(t), bench::str(s),
                  bench::str((k - 1) / 2), bench::str(k)});
     }
@@ -41,8 +43,10 @@ void print_collision_demo() {
                 "completion for the late process violates ε-agreement");
   bench::Table table({"k", "grid 1/ε", "executions searched", "footprint",
                       "outputs A", "outputs B", "all rules refuted"});
-  for (std::uint64_t k : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+  for (std::uint64_t k : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
     const auto c = core::find_footprint_collision(k);
+    const std::string row = "k=" + bench::str(k);
+    bench::expect(row + " collision found", true, c.has_value());
     if (!c) {
       table.row({bench::str(k), bench::str(2 * k + 1), "-", "(none)", "-",
                  "-", "-"});
@@ -54,12 +58,20 @@ void print_collision_demo() {
           *c, [d](const std::string&) { return d; });
       all_refuted &= (r.violates_a || r.violates_b);
     }
+    bench::expect(row + " all rules refuted", true, all_refuted);
+    const std::string a = "{" + bench::str(c->outputs_a[0]) + "," +
+                          bench::str(c->outputs_a[1]) + "}";
+    const std::string b = "{" + bench::str(c->outputs_b[0]) + "," +
+                          bench::str(c->outputs_b[1]) + "}";
+    if (k == 5) {  // the instance EXPERIMENTS.md quotes
+      bench::expect(row + " executions searched", 295'178L,
+                    c->executions_searched);
+      bench::expect<std::string>(row + " footprint", "0|1|1|0|", c->word);
+      bench::expect<std::string>(row + " outputs A", "{0,1}", a);
+      bench::expect<std::string>(row + " outputs B", "{2,3}", b);
+    }
     table.row({bench::str(k), bench::str(2 * k + 1),
-               bench::str(c->executions_searched), c->word,
-               "{" + bench::str(c->outputs_a[0]) + "," +
-                   bench::str(c->outputs_a[1]) + "}",
-               "{" + bench::str(c->outputs_b[0]) + "," +
-                   bench::str(c->outputs_b[1]) + "}",
+               bench::str(c->executions_searched), c->word, a, b,
                all_refuted ? "yes" : "NO"});
   }
   table.print();
@@ -75,6 +87,9 @@ void print_collision_demo() {
     const tasks::ApproxAgreement task(3, denom);
     const tasks::Config in{Value(0), Value(1), Value(0)};
     const auto check = tasks::check_outputs(task, in, out);
+    bench::expect<std::string>("end-to-end outputs", "(0, 1, 5)",
+                               tasks::config_str(out));
+    bench::expect("end-to-end run violates ε-agreement", false, check.ok);
     std::cout << "  end-to-end run with midpoint rule: outputs "
               << tasks::config_str(out) << "/" << denom << " -> "
               << (check.ok ? "LEGAL (unexpected!)" : "ε-agreement violated ✓")
@@ -98,6 +113,12 @@ void print_decision_paths() {
     });
     const topo::DecisionVertex solo0{0, Value(0)};
     const topo::DecisionVertex solo1{1, Value(2 * k + 1)};
+    const std::string row = "k=" + bench::str(k);
+    bench::expect(row + " path", true, g.is_path());
+    bench::expect(row + " solo distance", static_cast<long>(2 * k + 1),
+                  g.distance(solo0, solo1));
+    bench::expect(row + " vertices = edges + 1", g.edge_count() + 1,
+                  g.vertex_count());
     table.row({bench::str(k), bench::str(2 * k + 1),
                g.is_path() ? "yes" : "NO",
                bench::str(g.distance(solo0, solo1)),
@@ -106,21 +127,11 @@ void print_decision_paths() {
   table.print();
 }
 
-void BM_FindCollision(benchmark::State& state) {
-  const auto k = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::find_footprint_collision(k));
-  }
-}
-BENCHMARK(BM_FindCollision)->Arg(2)->Arg(4)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_threshold_table();
   print_decision_paths();
   print_collision_demo();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -2,8 +2,6 @@
 // processes. Algorithm 1 solves ε-agreement with Θ(1/ε) steps on 1-bit
 // registers; Algorithm 2 solves arbitrary BMZ-solvable tasks with 3 bits of
 // coordination per process.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.h"
@@ -27,10 +25,14 @@ void print_alg1_scaling() {
     sim::Sim sim(2);
     core::install_alg1(sim, k, {0, 1});
     run_round_robin(sim);
-    table.row({bench::str(k), bench::str(2 * k + 1),
-               bench::str(sim.steps(0) - 1),  // minus the start step
-               bench::str(2 * k + 3),
-               bench::str(sim.register_info(2).width_bits)});
+    const long steps = sim.steps(0) - 1;  // minus the start step
+    const int width = sim.register_info(2).width_bits;
+    const std::string row = "k=" + bench::str(k);
+    bench::expect(row + " lockstep steps/proc", static_cast<long>(2 * k + 3),
+                  steps);
+    bench::expect(row + " R width (bits)", 1, width);
+    table.row({bench::str(k), bench::str(2 * k + 1), bench::str(steps),
+               bench::str(2 * k + 3), bench::str(width)});
   }
   table.print();
 }
@@ -46,7 +48,9 @@ void print_alg2_demo() {
             << "\n";
   bench::Table table({"task", "path length L", "inputs", "executions checked",
                       "all legal"});
-  for (std::uint64_t m : {3ull, 5ull}) {
+  // The task 1/m and its execution count, as EXPERIMENTS.md quotes it.
+  for (const auto& [m, want] : std::vector<std::pair<std::uint64_t, long>>{
+           {3, 113'226}, {5, 533'130}, {7, 2'212'746}}) {
     const tasks::ApproxAgreement aa(2, m);
     std::vector<Value> domain;
     for (std::uint64_t v = 0; v <= m; ++v) domain.emplace_back(v);
@@ -70,6 +74,10 @@ void print_alg2_demo() {
                                               tasks::decisions_of(sim))
                              .ok;
           });
+      const std::string row = "m=" + bench::str(m);
+      bench::expect(row + " path length L", static_cast<int>(m) + 2, plan.L);
+      bench::expect(row + " executions checked", want, execs);
+      bench::expect(row + " all legal", true, all_legal);
       table.row({task.name(), bench::str(plan.L), tasks::config_str(input),
                  bench::str(execs), all_legal ? "yes" : "NO"});
     }
@@ -77,37 +85,10 @@ void print_alg2_demo() {
   table.print();
 }
 
-void BM_Alg1Run(benchmark::State& state) {
-  const auto k = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Sim sim(2);
-    core::install_alg1(sim, k, {0, 1});
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.decision(0));
-  }
-  state.counters["steps_per_proc"] = static_cast<double>(2 * state.range(0) + 3);
-}
-BENCHMARK(BM_Alg1Run)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_BmzPlanConstruction(benchmark::State& state) {
-  const auto m = static_cast<std::uint64_t>(state.range(0));
-  const tasks::ApproxAgreement aa(2, m);
-  std::vector<Value> domain;
-  for (std::uint64_t v = 0; v <= m; ++v) domain.emplace_back(v);
-  const tasks::ExplicitTask task = tasks::materialize(aa, domain);
-  for (auto _ : state) {
-    const topo::Bmz2 bmz(task);
-    benchmark::DoNotOptimize(bmz.solvable());
-  }
-}
-BENCHMARK(BM_BmzPlanConstruction)->Arg(3)->Arg(9)->Arg(17);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_alg1_scaling();
   print_alg2_demo();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -3,8 +3,6 @@
 // full §6 stack (ABD over flooding over alternating-bit links) solving
 // ε-agreement, and report per-layer costs. Crucially, the register width
 // depends only on t — not on ε or the task.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.h"
@@ -70,6 +68,11 @@ void print_theorem13() {
                                               {7, 2, 1},
                                               {7, 3, 1}}) {
     const StackRun r = run_stack(n, t, rounds);
+    const std::string row = "n=" + bench::str(n) + " t=" + bench::str(t) +
+                            " T=" + bench::str(rounds);
+    bench::expect(row + " register bits", 3 * (t + 1), r.width);
+    bench::expect(row + " #registers", n, r.registers);
+    bench::expect(row + " solved", true, r.ok);
     table.row({bench::str(n), bench::str(t), bench::str(rounds),
                bench::str(r.width), bench::str(r.registers),
                bench::str(r.steps), r.ok ? "yes" : "NO"});
@@ -83,8 +86,13 @@ void print_precision_independence() {
   bench::banner("Register width vs precision",
                 "the same 9-bit registers (n=5, t=2) serve every ε");
   bench::Table table({"T", "1/ε", "register bits", "sim steps", "solved"});
+  const long steps[] = {605'500, 1'249'297, 1'910'072};
   for (int rounds : {1, 2, 3}) {
     const StackRun r = run_stack(5, 2, rounds);
+    const std::string row = "T=" + bench::str(rounds);
+    bench::expect(row + " register bits", 9, r.width);
+    bench::expect(row + " sim steps", steps[rounds - 1], r.steps);
+    bench::expect(row + " solved", true, r.ok);
     table.row({bench::str(rounds), bench::str(1 << rounds),
                bench::str(r.width), bench::str(r.steps),
                r.ok ? "yes" : "NO"});
@@ -92,29 +100,10 @@ void print_precision_independence() {
   table.print();
 }
 
-void BM_RegisterStack(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int t = static_cast<int>(state.range(1));
-  long steps = 0;
-  for (auto _ : state) {
-    const StackRun r = run_stack(n, t, 1);
-    steps = r.steps;
-    benchmark::DoNotOptimize(r.ok);
-  }
-  state.counters["sim_steps"] = static_cast<double>(steps);
-  state.counters["register_bits"] = core::sec6_register_bits(t);
-}
-BENCHMARK(BM_RegisterStack)
-    ->Args({3, 1})
-    ->Args({5, 2})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_theorem13();
   print_precision_independence();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

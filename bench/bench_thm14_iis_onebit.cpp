@@ -4,8 +4,6 @@
 // protocol) and report the configuration-space blow-up (unbounded views →
 // iteration indices) plus output validity, and Algorithm 5 (Borowsky–Gafni
 // snapshot in IC) statistics.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.h"
@@ -39,10 +37,23 @@ void print_alg4_table() {
   for (const auto& [n, k] : std::vector<std::pair<int, int>>{
            {2, 1}, {2, 2}, {2, 3}, {3, 1}, {3, 2}}) {
     const auto cfgs = binary_configs(n, k);
+    const std::string row = "n=" + bench::str(n) + " k=" + bench::str(k);
+    // |C^0| = 2^n binary inputs; each round multiplies by the one-round IC
+    // outcomes (3 at n = 2, 25 at n = 3: Figure 4's census).
+    std::size_t level_size = std::size_t{1} << n;
+    std::size_t iterations = 0;
     std::string sizes;
-    for (const auto& level : cfgs.per_round) {
-      sizes += std::to_string(level.size()) + " ";
+    for (std::size_t r = 0; r < cfgs.per_round.size(); ++r) {
+      const std::size_t size = cfgs.per_round[r].size();
+      bench::expect(row + " |C^" + bench::str(r) + "|", level_size, size);
+      if (static_cast<int>(r) < k) iterations += size;
+      level_size *= n == 2 ? 3 : 25;
+      sizes += std::to_string(size) + " ";
     }
+    bench::expect(row + " levels", static_cast<std::size_t>(k + 1),
+                  cfgs.per_round.size());
+    bench::expect(row + " iterations N = |C^0|+…+|C^{k-1}|", iterations,
+                  cfgs.flat.size());
     long valid = 0;
     const long trials = 40;
     long steps = 0;
@@ -57,9 +68,20 @@ void print_alg4_table() {
       opts.seed = static_cast<std::uint64_t>(seed);
       opts.max_crashes = n - 1;
       run_random(sim, opts);
+      if (seed == 0) {  // N·n registers, every one of them 1 bit
+        int widest = 0;
+        for (int reg = 0; reg < sim.num_registers(); ++reg) {
+          widest = std::max(widest, sim.register_info(reg).width_bits);
+        }
+        bench::expect(row + " 1-bit regs",
+                      cfgs.flat.size() * static_cast<std::size_t>(n),
+                      static_cast<std::size_t>(sim.num_registers()));
+        bench::expect(row + " widest register (bits)", 1, widest);
+      }
       valid += core::alg4_output_valid(cfgs, tasks::decisions_of(sim)) ? 1 : 0;
       steps = std::max(steps, sim.steps(0));
     }
+    bench::expect(row + " valid runs", trials, valid);
     table.row({bench::str(n), bench::str(k), sizes,
                bench::str(cfgs.flat.size()),
                bench::str(cfgs.flat.size() * static_cast<std::size_t>(n)),
@@ -86,11 +108,17 @@ void print_alg4_agreement_table() {
     run_round_robin(sim);
     const std::uint64_t y0 = sim.decision(0).as_u64();
     const std::uint64_t y1 = sim.decision(1).as_u64();
+    const std::string row = "k=" + bench::str(k);
+    std::uint64_t three_k = 1;
+    for (int i = 0; i < k; ++i) three_k *= 3;
+    bench::expect(row + " 1/ε = 3^k", three_k, plan.denominator());
+    const bool agree = (y0 > y1 ? y0 - y1 : y1 - y0) <= 1;
+    bench::expect(row + " |y0-y1| <= 1", true, agree);
     table.row({bench::str(k), bench::str(plan.denominator()),
                bench::str(plan.configs().flat.size()),
                bench::str(plan.configs().flat.size() * 2),
                bench::str(y0) + ", " + bench::str(y1),
-               (y0 > y1 ? y0 - y1 : y1 - y0) <= 1 ? "yes" : "NO"});
+               agree ? "yes" : "NO"});
   }
   table.print();
 }
@@ -124,44 +152,18 @@ void print_alg5_table() {
       }
       ok += memory::check_is_properties(xs, views, decided) ? 1 : 0;
     }
+    bench::expect("n=" + bench::str(n) + " IS properties hold", trials, ok);
     table.row({bench::str(n), bench::str(trials),
                bench::str(ok) + "/" + bench::str(trials)});
   }
   table.print();
 }
 
-void BM_Alg4Run(benchmark::State& state) {
-  const int n = 2;
-  const int k = static_cast<int>(state.range(0));
-  const auto cfgs = binary_configs(n, k);
-  for (auto _ : state) {
-    sim::Sim sim(n);
-    core::install_alg4(sim, cfgs,
-                       memory::initial_full_info_config({Value(0), Value(1)}));
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.terminated(0));
-  }
-  state.counters["iterations"] = static_cast<double>(cfgs.flat.size());
-}
-BENCHMARK(BM_Alg4Run)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_ConfigEnumeration(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(binary_configs(n, k));
-  }
-}
-BENCHMARK(BM_ConfigEnumeration)->Args({2, 2})->Args({2, 3})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_alg4_table();
   print_alg4_agreement_table();
   print_alg5_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -2,8 +2,6 @@
 // two registers of 6 bits — against Algorithm 1's Θ(1/ε) with 1-bit
 // registers. The crossover and the factor between the two is the headline
 // series of §8.
-#include <benchmark/benchmark.h>
-
 #include "common.h"
 #include "core/alg1.h"
 #include "core/alg6.h"
@@ -26,7 +24,7 @@ void print_comparison() {
     const std::uint64_t inv_eps = std::uint64_t{1} << R;
     // Algorithm 6 run (lockstep): both simulate all R rounds.
     sim::Sim s6(2);
-    core::install_alg6_labelling(s6, {R, 2});
+    const core::Alg6Handles h = core::install_alg6_labelling(s6, {R, 2});
     run_round_robin(s6);
     const long steps6 = s6.steps(0) - 1;
     // Algorithm 1 with matching precision: 2k+1 >= 2^R.
@@ -35,6 +33,14 @@ void print_comparison() {
     core::install_alg1(s1, k, {0, 1});
     run_round_robin(s1);
     const long steps1 = s1.steps(0) - 1;
+    const std::string row = "R=" + bench::str(R);
+    bench::expect(row + " alg6 steps/proc", 2L * R, steps6);
+    for (int reg : h.reg) {
+      bench::expect(row + " alg6 register bits", 6,
+                    s6.register_info(reg).width_bits);
+    }
+    bench::expect(row + " alg1 steps/proc", static_cast<long>(2 * k + 3),
+                  steps1);
     table.row({bench::str(R), bench::str(inv_eps), bench::str(steps6),
                bench::str(k), bench::str(steps1),
                bench::str(steps1 / std::max<long>(steps6, 1)) + "x"});
@@ -52,8 +58,18 @@ void print_convergence_bases() {
                       "alg6 grid >= 2^r", "alg6 registers"});
   for (int r : {2, 4, 6, 8, 10}) {
     sim::Sim sim(2);
-    core::install_labelling_agreement(sim, r, {0, 1});
+    const core::LabelAgreementHandles h =
+        core::install_labelling_agreement(sim, r, {0, 1});
     run_round_robin(sim);
+    // A fresh write-once pair of 1 data bit + ⊥ per round.
+    const std::string row = "r=" + bench::str(r);
+    bench::expect(row + " IIS registers used", static_cast<std::size_t>(2 * r),
+                  h.rounds.size());
+    for (int reg : h.rounds) {
+      const sim::Register& info = sim.register_info(reg);
+      bench::expect(row + " IIS register bits", 2, info.width_bits);
+      bench::expect(row + " IIS register write-once", true, info.writes <= 1);
+    }
     table.row({bench::str(r), bench::str(core::pow3(r)),
                bench::str(2 * r) + " x 2-bit (write-once)",
                bench::str(std::uint64_t{1} << r), "2 x 6-bit"});
@@ -67,8 +83,16 @@ void print_plan_quality() {
                 "f = index/length gives ε-agreement with ε = 1/length");
   bench::Table table({"R", "path length", "2^R bound", "labels",
                       "full-length executions"});
+  const std::uint64_t path_lengths[] = {9, 23, 57};
   for (int R : {2, 3, 4}) {
     const core::FastAgreementPlan plan({R, 2});
+    const std::string row = "R=" + bench::str(R);
+    bench::expect(row + " path length", path_lengths[R - 2],
+                  plan.path_length());
+    bench::expect(row + " path length >= 2^R", true,
+                  plan.path_length() >= (std::uint64_t{1} << R));
+    bench::expect(row + " labels = length + 1", plan.path_length() + 1,
+                  plan.label_count());
     table.row({bench::str(R), bench::str(plan.path_length()),
                bench::str(std::uint64_t{1} << R),
                bench::str(plan.label_count()),
@@ -77,38 +101,11 @@ void print_plan_quality() {
   table.print();
 }
 
-void BM_FastAgreementRun(benchmark::State& state) {
-  const int R = static_cast<int>(state.range(0));
-  const core::FastAgreementPlan plan({R, 2});
-  for (auto _ : state) {
-    sim::Sim sim(2);
-    core::install_fast_agreement(sim, plan, {0, 1});
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.decision(0));
-  }
-  state.counters["inv_eps"] = static_cast<double>(plan.path_length());
-}
-BENCHMARK(BM_FastAgreementRun)->Arg(3)->Arg(4);
-
-void BM_Alg1SameEps(benchmark::State& state) {
-  // Algorithm 1 at the precision Alg 6 reaches with R = range(0).
-  const std::uint64_t k = (std::uint64_t{1} << state.range(0)) / 2;
-  for (auto _ : state) {
-    sim::Sim sim(2);
-    core::install_alg1(sim, k, {0, 1});
-    run_round_robin(sim);
-    benchmark::DoNotOptimize(sim.decision(0));
-  }
-}
-BENCHMARK(BM_Alg1SameEps)->Arg(3)->Arg(4)->Arg(10)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_comparison();
   print_convergence_bases();
   print_plan_quality();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::exit_status();
 }

@@ -1,14 +1,17 @@
-// Shared table-printing helpers for the reproduction benches.
+// Shared table-printing and checking helpers for the reproduction benches.
 //
 // Every bench binary regenerates one figure/table/claim of the paper: it
-// first prints the reproduced series in a fixed-width table (with a
-// `paper:` annotation giving the predicted shape), then runs its
-// google-benchmark timing section.
+// prints the reproduced series in a fixed-width table (with a `paper:`
+// annotation giving the predicted shape) and checks each row against that
+// prediction and against the exact counts EXPERIMENTS.md quotes. A
+// mismatch goes to stderr and makes `main` exit non-zero, so each binary
+// is a ctest under the `paper` label.
 #pragma once
 
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bsr::bench {
@@ -68,5 +71,23 @@ std::string str(const T& v) {
     return std::to_string(v);
   }
 }
+
+/// Mismatches `expect` has reported in this process.
+inline int mismatches = 0;
+
+/// Checks one figure of `row` against the value it must have; a mismatch
+/// prints the row, the expected and the measured value to stderr and is
+/// counted. `measured` converts to the type of `expected`.
+template <class T>
+void expect(const std::string& row, const T& expected,
+            const std::type_identity_t<T>& measured) {
+  if (expected == measured) return;
+  ++mismatches;
+  std::cerr << "MISMATCH " << row << ": expected " << std::boolalpha
+            << expected << ", measured " << measured << "\n";
+}
+
+/// `main`'s return value: 0 when every check held.
+inline int exit_status() { return mismatches == 0 ? 0 : 1; }
 
 }  // namespace bsr::bench

@@ -1,7 +1,6 @@
 // Verification of Algorithm 2 (§5.2.3): the universal 2-process protocol
 // with 3-bit coordination registers solves every BMZ-solvable task, in every
-// execution (exhaustive for small tasks, randomized otherwise) — Lemma 5.8
-// and Theorem 1.2.
+// execution — Lemma 5.8 and Theorem 1.2.
 #include "core/alg2.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +8,7 @@
 #include <memory>
 
 #include "sim/explore.h"
-#include "sim/sched.h"
+#include "support/explore_pair.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
 
@@ -129,29 +128,34 @@ TEST(Alg2, SolvesACustomNonTrivialTask) {
   }
 }
 
-TEST(Alg2, RandomizedLargerPrecision) {
+TEST(Alg2, ExhaustiveLargerPrecision) {
+  // ε = 1/9 over every schedule with at most one crash, per input pair.
   const ExplicitTask task = approx_task(9);
   const topo::Bmz2 bmz(task);
   ASSERT_TRUE(bmz.solvable()) << bmz.failure_reason();
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    const std::uint64_t x0 = seed % 2;
-    const std::uint64_t x1 = (seed / 2) % 2;
-    const Config input{Value(x0), Value(x1)};
-    Sim sim(2);
-    install_alg2(sim, bmz.plan(), input);
-    sim::RandomRunOptions opts;
-    opts.seed = seed;
-    opts.max_crashes = 1;
-    const sim::RunReport rep = run_random(sim, opts);
-    EXPECT_FALSE(rep.hit_step_limit);
-    const auto check =
-        tasks::check_outputs(task, input, tasks::decisions_of(sim));
-    EXPECT_TRUE(check.ok) << check.detail << " seed=" << seed;
-    for (int i = 0; i < 2; ++i) {
-      if (!sim.crashed(i)) {
-        EXPECT_TRUE(sim.terminated(i));
-      }
-    }
+  for (const test::PairCounts& want :
+       {test::PairCounts{0, 0, 42'236'286, 403},
+        test::PairCounts{1, 0, 42'236'286, 403},
+        test::PairCounts{0, 1, 42'236'286, 403},
+        test::PairCounts{1, 1, 42'236'286, 403}}) {
+    const Config input{Value(want.x0), Value(want.x1)};
+    test::explore_pair(
+        want,
+        [&] {
+          auto sim = std::make_unique<Sim>(2);
+          install_alg2(*sim, bmz.plan(), input);
+          return sim;
+        },
+        [&](Sim& sim, const std::vector<Choice>&) {
+          const auto check =
+              tasks::check_outputs(task, input, tasks::decisions_of(sim));
+          EXPECT_TRUE(check.ok) << check.detail;
+          for (int i = 0; i < 2; ++i) {
+            if (!sim.crashed(i)) {
+              EXPECT_TRUE(sim.terminated(i));
+            }
+          }
+        });
   }
 }
 

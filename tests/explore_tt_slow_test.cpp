@@ -64,7 +64,8 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
 
 // The schedule counts the benchmark's explore-bounded workload pins by
 // plain enumeration: the counted search returns the same number, and its
-// visits reach the same final states as the enumeration's.
+// visits reach the same final states as the enumeration's. The crash row
+// is also enumerated at 4 threads, which must find the same schedules.
 TEST(ExploreTTSlow, CountsTheBenchmarksEnumeratedInstances) {
   const tasks::ApproxAgreement aa(2, 3);
   std::vector<Value> domain;
@@ -76,6 +77,7 @@ TEST(ExploreTTSlow, CountsTheBenchmarksEnumeratedInstances) {
     long schedules;
     ExploreOptions opts;
     Explorer::Factory make;
+    bool parallel = false;  ///< Also enumerate it at 4 threads.
   };
   const auto alg1 = [](std::uint64_t k) {
     return [k] {
@@ -93,22 +95,36 @@ TEST(ExploreTTSlow, CountsTheBenchmarksEnumeratedInstances) {
          auto sim = std::make_unique<Sim>(2);
          core::install_alg2(*sim, plan, {Value(0), Value(1)});
          return sim;
-       }}};
+       },
+       true}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
+    const auto checkpointed = [&c] {
+      auto sim = c.make();
+      sim->set_checkpointing(true);  // full_hash reads the result logs
+      return sim;
+    };
     ExploreOptions opts = c.opts;
     opts.threads = 1;
     Observed plain;
     plain.count = Explorer(opts).explore(
-        [&c] {
-          auto sim = c.make();
-          sim->set_checkpointing(true);  // full_hash reads the result logs
-          return sim;
-        },
-        [&](Sim& sim, const std::vector<Choice>&) {
+        checkpointed, [&](Sim& sim, const std::vector<Choice>&) {
           plain.record(sim, zobrist::full_hash(sim));
         });
     EXPECT_EQ(plain.count, c.schedules);
+
+    if (c.parallel) {
+      ExploreOptions par = c.opts;
+      par.threads = 4;
+      Observed parallel;
+      parallel.count = Explorer(par).explore(
+          checkpointed, [&](Sim& sim, const std::vector<Choice>&) {
+            parallel.record(sim, zobrist::full_hash(sim));
+          });
+      EXPECT_EQ(parallel.count, c.schedules);
+      EXPECT_EQ(parallel.visits, c.schedules);
+      EXPECT_EQ(parallel.finals, plain.finals);
+    }
 
     auto tt = std::make_shared<TranspositionTable>(kSmallTableBytes);
     opts.tt = tt;

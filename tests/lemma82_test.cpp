@@ -9,6 +9,7 @@
 
 #include "sim/explore.h"
 #include "sim/sched.h"
+#include "support/explore_pair.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
 
@@ -122,24 +123,44 @@ TEST(Lemma82, AllBlockSchedulesAgree) {
   }
 }
 
-TEST(Lemma82, RandomizedLargerRounds) {
-  for (std::uint64_t seed = 0; seed < 120; ++seed) {
-    const int rounds = 2 + static_cast<int>(seed % 6);
-    const std::uint64_t x0 = seed % 2;
-    const std::uint64_t x1 = (seed / 2) % 2;
-    const std::uint64_t denom = pow3(rounds);
-    Sim sim(2);
-    install_labelling_agreement(sim, rounds, {x0, x1});
-    sim::RandomRunOptions opts;
-    opts.seed = seed;
-    opts.max_crashes = 1;
-    const sim::RunReport rep = run_random(sim, opts);
-    EXPECT_FALSE(rep.hit_step_limit);
-    const tasks::ApproxAgreement task(2, denom);
-    const tasks::Config input{Value(x0), Value(x1)};
-    const auto check =
-        tasks::check_outputs(task, input, tasks::decisions_of(sim));
-    EXPECT_TRUE(check.ok) << check.detail << " seed=" << seed;
+TEST(Lemma82, ExhaustiveLargerRounds) {
+  // r = 2…7 rounds over every schedule with at most one crash, per input
+  // pair: the schedule and distinct-final counts depend on r only.
+  struct RoundCounts {
+    int rounds;
+    long schedules;
+    long finals;
+  };
+  for (const RoundCounts& r : {RoundCounts{2, 1'174, 30},
+                               RoundCounts{3, 4'354, 52},
+                               RoundCounts{4, 16'300, 94},
+                               RoundCounts{5, 61'488, 176},
+                               RoundCounts{6, 233'374, 338},
+                               RoundCounts{7, 890'186, 660}}) {
+    SCOPED_TRACE("rounds " + std::to_string(r.rounds));
+    const tasks::ApproxAgreement task(2, pow3(r.rounds));
+    for (std::uint64_t x0 : {0ull, 1ull}) {
+      for (std::uint64_t x1 : {0ull, 1ull}) {
+        const tasks::Config input{Value(x0), Value(x1)};
+        test::explore_pair(
+            {x0, x1, r.schedules, r.finals},
+            [&] {
+              auto sim = std::make_unique<Sim>(2);
+              install_labelling_agreement(*sim, r.rounds, {x0, x1});
+              return sim;
+            },
+            [&](Sim& sim, const std::vector<Choice>&) {
+              const auto check =
+                  tasks::check_outputs(task, input, tasks::decisions_of(sim));
+              EXPECT_TRUE(check.ok) << check.detail;
+              for (int i = 0; i < 2; ++i) {
+                if (!sim.crashed(i)) {
+                  EXPECT_TRUE(sim.terminated(i));
+                }
+              }
+            });
+      }
+    }
   }
 }
 

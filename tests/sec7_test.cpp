@@ -13,6 +13,7 @@
 #include "sim/sched.h"
 #include "sim/tt.h"
 #include "support/alg5_check.h"
+#include "support/explore_pair.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
 
@@ -255,34 +256,8 @@ TEST(Alg4, ExhaustiveTwoProcessOneRound) {
   }
 }
 
-/// What one exhaustive input pair of a two-process protocol pins: its
-/// schedules with at most one crash, and its distinct final configurations.
-struct PairCounts {
-  std::uint64_t x0;
-  std::uint64_t x1;
-  long schedules;
-  long finals;
-};
-
-/// Counts every schedule of `make`'s two-process Sim with at most one crash
-/// through a transposition table, which expands each state once and visits
-/// each distinct final configuration once, and checks the pair's pins and
-/// that the table dropped no claim (so no final went unvisited).
-void explore_pair(const PairCounts& want, const Explorer::Factory& make,
-                  const Explorer::Visitor& visit) {
-  SCOPED_TRACE("inputs " + std::to_string(want.x0) + std::to_string(want.x1));
-  ExploreOptions opts{.max_steps = 500, .max_crashes = 1, .threads = 1};
-  opts.tt = std::make_shared<sim::TranspositionTable>(std::size_t{1} << 22);
-  long finals = 0;
-  const long schedules = Explorer(opts).explore(
-      make, [&](Sim& sim, const std::vector<Choice>& schedule) {
-        ++finals;
-        visit(sim, schedule);
-      });
-  EXPECT_EQ(opts.tt->stats().drops, 0) << "grow the table";
-  EXPECT_EQ(schedules, want.schedules);
-  EXPECT_EQ(finals, want.finals);
-}
+using test::explore_pair;
+using test::PairCounts;
 
 TEST(Alg4, ExhaustiveTwoProcessTwoRounds) {
   const auto cfgs = binary_configs(2, 2);

@@ -80,6 +80,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -114,14 +115,17 @@ using namespace bsr;
 struct Args {
   std::map<std::string, std::string> kv;
 
-  [[nodiscard]] std::uint64_t u64(const std::string& key,
-                                  std::uint64_t def) const {
+  [[nodiscard]] std::uint64_t u64(
+      const std::string& key, std::uint64_t def,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = kv.find(key);
     if (it == kv.end()) return def;
     try {
       std::size_t pos = 0;
       const std::uint64_t v = std::stoull(it->second, &pos);
-      if (pos != it->second.size()) throw std::invalid_argument(key);
+      if (pos != it->second.size() || v > max) {
+        throw std::invalid_argument(key);
+      }
       return v;
     } catch (const std::exception&) {
       // stoull aborts the process on overflow/garbage if left uncaught;
@@ -129,6 +133,14 @@ struct Args {
       throw UsageError("--" + key + " '" + it->second +
                        "': expected an unsigned integer");
     }
+  }
+  /// `u64` for a flag held in a narrower integer: a value past T's range is
+  /// the same usage error, where a bare cast would wrap it silently.
+  template <class T>
+  [[nodiscard]] T num(const std::string& key, T def) const {
+    return static_cast<T>(
+        u64(key, static_cast<std::uint64_t>(def),
+            static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
   }
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& def) const {
@@ -194,7 +206,7 @@ int cmd_agree(const Args& a) {
   if (a.kv.contains("seed")) {
     sim::RandomRunOptions opts;
     opts.seed = a.u64("seed", 1);
-    opts.max_crashes = static_cast<int>(a.u64("crashes", 0));
+    opts.max_crashes = a.num("crashes", 0);
     run_random(sim, opts);
   } else {
     run_round_robin(sim);
@@ -206,7 +218,7 @@ int cmd_agree(const Args& a) {
 }
 
 int cmd_fast(const Args& a) {
-  const int rounds = static_cast<int>(a.u64("rounds", 4));
+  const int rounds = a.num("rounds", 4);
   const core::FastAgreementPlan plan({rounds, 2});
   sim::Sim sim(2);
   core::install_fast_agreement(sim, plan, {a.u64("x0", 0), a.u64("x1", 1)});
@@ -218,9 +230,9 @@ int cmd_fast(const Args& a) {
 }
 
 int cmd_stack(const Args& a) {
-  const int n = static_cast<int>(a.u64("n", 5));
-  const int t = static_cast<int>(a.u64("t", 2));
-  const int rounds = static_cast<int>(a.u64("rounds", 1));
+  const int n = a.num("n", 5);
+  const int t = a.num("t", 2);
+  const int rounds = a.num("rounds", 1);
   std::vector<std::uint64_t> inputs;
   for (int i = 0; i < n; ++i) inputs.push_back(static_cast<std::uint64_t>(i % 2));
   sim::Sim sim(n);
@@ -263,7 +275,7 @@ int cmd_adversary(const Args& a) {
 }
 
 int cmd_iis(const Args& a) {
-  const int rounds = static_cast<int>(a.u64("rounds", 4));
+  const int rounds = a.num("rounds", 4);
   sim::Sim sim(2);
   core::install_labelling_agreement(sim, rounds,
                                     {a.u64("x0", 0), a.u64("x1", 1)});
@@ -345,8 +357,8 @@ int cmd_explore(const Args& a) {
   }
   const std::uint64_t k = a.u64("k", 2);
   sim::ExploreOptions opts;
-  opts.max_steps = static_cast<long>(a.u64("max-steps", 1000));
-  opts.max_crashes = static_cast<int>(a.u64("crashes", 0));
+  opts.max_steps = a.num("max-steps", 1000L);
+  opts.max_crashes = a.num("crashes", 0);
   const std::string t = a.str("threads", "0");
   if (t == "auto") {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -556,7 +568,7 @@ int cmd_serve(const Args& a) {
     }
     serve::ServerOptions opts;
     opts.socket_path = a.str("socket", "bsr.sock");
-    opts.workers = static_cast<int>(a.u64("workers", 2));
+    opts.workers = a.num("workers", 2);
     opts.queue = static_cast<std::size_t>(a.u64("queue", 16));
     opts.service = so;
     return serve::run_server(opts, std::cout);
